@@ -58,7 +58,15 @@ from .resolutions import (
     module_regularity,
     verify_strand_exactness,
 )
-from .rings import AlgebraError, ParseError, Polynomial, Ring, RingMismatchError, parse_polynomial
+from .rings import (
+    AlgebraError,
+    InternalError,
+    ParseError,
+    Polynomial,
+    Ring,
+    RingMismatchError,
+    parse_polynomial,
+)
 from .rng import Lcg
 from .suites import (
     SUITES,
@@ -82,6 +90,7 @@ __all__ = [
     "FreeResolution",
     "GradedFreeModule",
     "GradedMap",
+    "InternalError",
     "Lcg",
     "LevelResult",
     "LocalFreenessError",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .modules import binom
 from .resolutions import hilbert_function, minimal_free_resolution
-from .rings import AlgebraError
+from .rings import AlgebraError, InternalError
 
 
 def _dual_data(pres):
@@ -56,7 +56,8 @@ def ext_strand_dim(pres, j, d):
     rank_out = _dual_rank(pres, j + 1, d) if j < length else 0
     rank_in = _dual_rank(pres, j, d) if j >= 1 else 0
     value = dim - rank_out - rank_in
-    assert value >= 0, "Ext strand bookkeeping broke"
+    if value < 0:
+        raise InternalError(f"Ext strand bookkeeping broke: dim Ext^{j}_{d} = {value}")
     return value
 
 

@@ -2,16 +2,16 @@
 
 A free module is recorded by its generator degrees: degrees (a_1..a_r) means
 S(-a_1) + .. + S(-a_r), so generator j lives in degree a_j. The degree-d
-strand of a map is a finite dense matrix over the coefficient field; ranks
-are exact (int64 Gaussian elimination mod p, Fraction elimination over Q).
+strand of a map is a finite matrix over the coefficient field, stored as one
+sparse vector per column; `sparse_rank` computes its rank exactly, with one
+elimination routine for both F_p (integers reduced mod p) and Q (Fractions).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import add
 
 from .rings import AlgebraError, Polynomial, RingMismatchError, monomials_of_degree
 
@@ -146,95 +146,81 @@ class GradedMap:
         return GradedMap(self.source.shifted(e), self.target.shifted(e), self.matrix)
 
     def strand_matrix(self, d):
-        """Dense matrix of the degree-d strand; entry at (row m*e_i, col m'*e_j)
-        is the coefficient of m in entry(i,j) * m'."""
+        """Sparse matrix of the degree-d strand, by columns: for source basis
+        element m'*e_j, the vector {row of m*e_i: coefficient of m in
+        entry(i,j) * m'}, read straight off the entries' terms."""
         rows = self.target.strand_basis(d)
         cols = self.source.strand_basis(d)
-        ring = self.ring
-        zero = ring.czero()
         row_index = {b: r for r, b in enumerate(rows)}
-        entries = [[zero] * len(cols) for _ in rows]
-        for cj, (j, mono_src) in enumerate(cols):
-            for i in range(self.target.rank):
-                p = self.matrix[i][j]
-                if p.is_zero():
-                    continue
-                for mono, c in p.terms.items():
-                    key = (i, tuple(a + b for a, b in zip(mono, mono_src)))
-                    entries[row_index[key]][cj] = c
-        return StrandMatrix(ring=ring, degree=d, row_basis=rows, col_basis=cols, entries=entries)
+        terms = [
+            [(i, mono, c) for i, row in enumerate(self.matrix) for mono, c in row[j].terms.items()]
+            for j in range(self.source.rank)
+        ]
+        columns = [
+            {row_index[i, tuple(map(add, mono, mono_src))]: c for i, mono, c in terms[j]}
+            for j, mono_src in cols
+        ]
+        return StrandMatrix(ring=self.ring, degree=d, row_basis=rows, col_basis=cols, columns=columns)
 
 
 @dataclass
 class StrandMatrix:
+    """columns[c] is the image of col_basis[c] as a sparse vector
+    {row index: coefficient}; zero coefficients are not stored."""
+
     ring: object
     degree: int
     row_basis: list
     col_basis: list
-    entries: list = field(repr=False)
+    columns: list = field(repr=False)
 
     @property
     def shape(self):
         return (len(self.row_basis), len(self.col_basis))
 
     def rank(self):
-        return matrix_rank(self.entries, self.ring)
+        return sparse_rank(self.columns, self.ring)
 
 
-def _rank_modp(rows, p):
-    a = np.array(rows, dtype=np.int64) % p
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i, c]:
-                piv = i
+def sparse_rank(vectors, ring):
+    """Exact rank of the span of sparse vectors {index: coefficient} over the
+    coefficient field of ring (F_p or Q).
+
+    Entries go through ring.coeff first (reduced mod p, or made exact
+    Fractions) and zeros are dropped, so no float and no unreduced zero
+    reaches the elimination. Each vector is then reduced against the pivot
+    rows found so far, lowest index first; pivot row i is monic with i as its
+    lowest index. A vector that does not reduce to zero becomes a new pivot
+    row, so the rank is the number of pivot rows. The inputs are not modified.
+    """
+    p = ring.characteristic
+    pivots = {}
+    for vector in vectors:
+        v = {}
+        for k, c in vector.items():
+            c = ring.coeff(c)
+            if c:
+                v[k] = c
+        while v:
+            lead = min(v)
+            f = v[lead]
+            row = pivots.get(lead)
+            if row is None:
+                inv = ring.cinv(f)
+                pivots[lead] = {k: ring.cmul(c, inv) for k, c in v.items()}
                 break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        block = a[r + 1 :]
-        if block.size:
-            a[r + 1 :] = (block - np.outer(block[:, c], a[r])) % p
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def _rank_rational(rows):
-    work = [list(row) for row in rows]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        for i in range(r + 1, m):
-            if work[i][c]:
-                f = work[i][c] / prow[c]
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
-        r += 1
-        if r == m:
-            break
-    return r
+            for k, c in row.items():
+                x = v.get(k, 0) - f * c
+                if p:
+                    x %= p
+                if x:
+                    v[k] = x
+                else:
+                    del v[k]
+    return len(pivots)
 
 
 def matrix_rank(entries, ring):
-    """Exact rank of a dense matrix over the coefficient field of ring."""
-    if not entries or not entries[0]:
-        return 0
-    if ring.characteristic:
-        return _rank_modp(entries, ring.characteristic)
-    return _rank_rational(entries)
+    """Exact rank of a dense matrix, given as a list of rows, over the
+    coefficient field of ring."""
+    return sparse_rank((dict(enumerate(row)) for row in entries), ring)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .groebner import minimal_generators, syzygies
 from .modules import GradedFreeModule, GradedMap
-from .rings import AlgebraError, Polynomial
+from .rings import AlgebraError, InternalError, Polynomial
 
 MINUS_INFINITY = float("-inf")
 
@@ -250,16 +250,18 @@ def default_verification_window(pres):
 
 
 def verify_strand_exactness(pres, window=None):
-    """Assert the cached resolution is a resolution of coker(pres):
+    """Check that the cached resolution is a resolution of coker(pres):
     consecutive composites vanish identically, strand ranks are exact at
     homological positions >= 1, and the degree-d cokernel dimensions match
-    the original presentation on the window."""
+    the original presentation on the window. Returns True, or raises
+    InternalError (also under python -O)."""
     res, _ = minimal_free_resolution(pres)
     if window is None:
         window = default_verification_window(pres)
     lo, hi = window
     for a, b in zip(res.maps, res.maps[1:]):
-        assert a.compose(b).is_zero(), "consecutive maps do not compose to zero"
+        if not a.compose(b).is_zero():
+            raise InternalError("consecutive maps do not compose to zero")
     orig_gens = pres.gens
     orig_rels = pres.rels
     for d in range(lo, hi + 1):
@@ -268,10 +270,10 @@ def verify_strand_exactness(pres, window=None):
         for i in range(1, len(res.modules)):
             incoming = ranks[i] if i < len(ranks) else 0
             kernel = dims[i] - ranks[i - 1]
-            assert kernel == incoming, (
-                f"resolution not exact at position {i}, degree {d}"
-            )
+            if kernel != incoming:
+                raise InternalError(f"resolution not exact at position {i}, degree {d}")
         expected = orig_gens.strand_dimension(d) - orig_rels.strand_matrix(d).rank()
         got = dims[0] - (ranks[0] if ranks else 0)
-        assert got == expected, f"cokernel dimension mismatch in degree {d}"
+        if got != expected:
+            raise InternalError(f"cokernel dimension mismatch in degree {d}")
     return True

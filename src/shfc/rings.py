@@ -15,6 +15,13 @@ class AlgebraError(Exception):
     """Invalid algebraic operation or malformed input."""
 
 
+class InternalError(Exception):
+    """A result failed an internal consistency check: a bug, not bad input.
+
+    Deliberately not an AlgebraError, which reports invalid input, and raised
+    explicitly rather than by assert so that the check survives python -O."""
+
+
 class RingMismatchError(AlgebraError):
     """Operands live in different rings."""
 

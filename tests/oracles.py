@@ -5,9 +5,14 @@ implemented separately so that agreement with the resolution/duality
 pipeline is meaningful evidence. The two oracles cross-validate each other
 (and themselves) through Serre duality and Euler-characteristic recursions;
 `test_oracles_are_self_consistent` in test_cohomology.py runs those checks.
+
+The dense row eliminations at the end are the reference for the engine's
+sparse rank kernel: plain column-by-column Gaussian elimination on full
+rows, mod p or over exact Fractions.
 """
 
 import math
+from fractions import Fraction
 
 
 def binomial(m, k):
@@ -75,3 +80,42 @@ def chi_koszul_kernel(n, m, d):
 def chi_omega(n, p, k):
     """chi(Omega^p(k)) = chi(R_p(k - p))."""
     return chi_koszul_kernel(n, p, k - p)
+
+
+def dense_rank(rows, characteristic):
+    """Rank over F_p (characteristic p) or over Q (characteristic 0)."""
+    if characteristic:
+        return dense_rank_modp(rows, characteristic)
+    return dense_rank_rational(rows)
+
+
+def dense_rank_modp(rows, p):
+    """Rank of a dense integer matrix mod the prime p."""
+    a = [[x % p for x in row] for row in rows]
+    return _dense_rank(a, lambda x, y: x * pow(y, -1, p) % p, lambda x: x % p)
+
+
+def dense_rank_rational(rows):
+    """Rank of a dense matrix of integers or Fractions over Q."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    return _dense_rank(a, lambda x, y: x / y, lambda x: x)
+
+
+def _dense_rank(a, divide, reduce):
+    m = len(a)
+    n = len(a[0]) if m else 0
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        for i in range(r + 1, m):
+            if a[i][c]:
+                f = divide(a[i][c], prow[c])
+                a[i] = [reduce(x - f * y) for x, y in zip(a[i], prow)]
+        r += 1
+        if r == m:
+            break
+    return r

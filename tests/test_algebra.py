@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shfc.modules import GradedFreeModule, GradedMap, binom, matrix_rank
+from oracles import dense_rank
+
+from shfc.modules import GradedFreeModule, GradedMap, binom, matrix_rank, sparse_rank
 from shfc.rings import (
     AlgebraError,
     ParseError,
@@ -34,7 +36,7 @@ def test_ring_validation():
     with pytest.raises(AlgebraError):
         Ring(-3, 3)
     with pytest.raises(AlgebraError):
-        Ring(2**31 + 11, 3)  # too large for the int64 elimination path
+        Ring(2**31 + 11, 3)  # above the 2**31 bound on the characteristic
     with pytest.raises(AlgebraError):
         Ring(32003, 1)  # fewer than two variables means no projective line
 
@@ -225,3 +227,93 @@ def test_rank_transpose_invariant(rows):
     assert matrix_rank(q_rows, Q1) == matrix_rank(q_cols, Q1)
     # small integer matrices: rank over Q equals rank mod a large prime
     assert matrix_rank(q_rows, Q1) == matrix_rank(rows, R2)
+
+
+def test_rational_rank_is_exact_for_huge_integer_entries():
+    # Dividing plain ints with / gives floats, in which 10**20 + 1 == 10**20.
+    assert matrix_rank([[10**20, 10**20 + 1], [1, 1]], Q1) == 2
+    assert sparse_rank([{0: 10**20, 1: 10**20 + 1}, {0: 1, 1: 1}], Q1) == 2
+
+
+def test_modp_rank_reduces_entries_before_dropping_zeros():
+    assert matrix_rank([[32003]], R2) == 0
+    assert sparse_rank([{0: 32003, 5: -2 * 32003}], R2) == 0
+    assert sparse_rank([{0: 32004}, {0: 1}, {0: -32002}], R2) == 1
+
+
+def test_sparse_rank_leaves_its_input_alone():
+    vectors = [{0: 1, 1: 2}, {0: 2, 1: 4, 2: 32003}]
+    snapshot = [dict(v) for v in vectors]
+    assert sparse_rank(vectors, R2) == 1
+    assert vectors == snapshot
+
+
+RANK_RINGS = [R2, Ring(2, 3), Q1]
+
+
+def field_values(ring):
+    """Entries the kernel must reduce itself: unreduced ints mod p, and
+    Fractions with assorted denominators over Q."""
+    if ring.characteristic:
+        p = ring.characteristic
+        return st.integers(min_value=-2 * p, max_value=2 * p)
+    return st.fractions(min_value=-5, max_value=5, max_denominator=7) | st.integers(-(10**20), 10**20)
+
+
+@st.composite
+def sparse_matrices(draw, ring, max_side=9):
+    """(num_cols, rows as sparse dicts). Half are products A*B through a
+    thin inner dimension, so rank deficiency is common."""
+    m = draw(st.integers(0, max_side))
+    n = draw(st.integers(1, max_side))
+
+    def sparse(rows, cols):
+        if not rows:
+            return {}
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        return draw(st.dictionaries(cells, field_values(ring), max_size=max(rows, cols) + 2))
+
+    if draw(st.booleans()):
+        entries = sparse(m, n)
+    else:
+        k = draw(st.integers(1, 3))
+        a, b = sparse(m, k), sparse(k, n)
+        entries = {}
+        for (i, t), x in a.items():
+            for (u, j), y in b.items():
+                if u == t:
+                    entries[i, j] = entries.get((i, j), 0) + x * y
+    rows = [{} for _ in range(m)]
+    for (i, j), value in entries.items():
+        rows[i][j] = value
+    return n, rows
+
+
+def to_dense(n, rows):
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RANK_RINGS).flatmap(lambda r: st.tuples(st.just(r), sparse_matrices(r))))
+def test_sparse_rank_matches_dense_reference(case):
+    ring, (n, rows) = case
+    dense = to_dense(n, rows)
+    expected = dense_rank(dense, ring.characteristic)
+    assert sparse_rank(rows, ring) == expected
+    assert matrix_rank(dense, ring) == expected
+    columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
+    assert sparse_rank(columns, ring) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(Q1, max_side=5))
+def test_rational_rank_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    n, rows = case
+    dense = to_dense(n, rows)
+    if not dense:
+        return
+    reference = sympy.Matrix(
+        [[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator) for x in row] for row in dense]
+    ).rank()
+    assert sparse_rank(rows, Q1) == reference

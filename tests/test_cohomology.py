@@ -21,7 +21,7 @@ from shfc.resolutions import (
     hilbert_function,
     hilbert_polynomial,
 )
-from shfc.rings import AlgebraError, Ring
+from shfc.rings import AlgebraError, InternalError, Ring
 
 
 def pres(char, nvars, generators, relations):
@@ -199,6 +199,14 @@ def test_ext_of_residue_field_is_koszul_dual():
             assert ext_strand_dim(p, j, d) == 0
     assert ext_strand_dim(p, -1, 0) == 0
     assert ext_strand_dim(p, 4, 0) == 0
+
+
+def test_negative_ext_dimension_raises_internal_error():
+    p = pres(32003, 3, [0], [["x0"], ["x1"], ["x2"]])
+    assert ext_strand_dim(p, 3, -3) == 1
+    p.cache[("dual_rank", 3, -3)] += 2  # a rank the strand cannot have
+    with pytest.raises(InternalError, match="Ext strand bookkeeping"):
+        ext_strand_dim(p, 3, -3)
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,9 @@ formatting drift fails loudly.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -212,6 +215,30 @@ def test_cli_level_frozen_bytes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == '{"value":1,"witnesses":[{"q":1,"i":1,"h":1}]}\n'
+
+
+def test_cli_level_runs_without_numpy(tmp_path):
+    """The engine has no numpy dependency: a level query in a fresh
+    interpreter never imports it."""
+    path = write_module(tmp_path, "o_minus1.json", O_MINUS1_P2)
+    src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys\n"
+        "from shfc.cli import main\n"
+        f"code = main(['level', '--module', {path!r}])\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        '{"value":1,"witnesses":[{"q":1,"i":1,"h":1}]}',
+        "False",
+    ]
 
 
 def test_cli_cohomology_json_frozen_bytes(tmp_path, capsys):

@@ -1,23 +1,25 @@
-"""Property-based checks of structural laws: strand functoriality, Serre
-duality, twist/sum/tensor compatibilities, pullback composition, and
-serialization round trips over randomized inputs.
+"""Property-based checks of structural laws: strand functoriality, strand
+ranks against a dense reference elimination, Serre duality,
+twist/sum/tensor compatibilities, pullback composition, and serialization
+round trips over randomized inputs.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import line_bundle_h
+from oracles import dense_rank, line_bundle_h
 
 from shfc.cohomology import sheaf_cohomology_dim
 from shfc.constructions import direct_sum, q_power_pullback, tensor, twist
 from shfc.moduleio import dump_module, parse_module
 from shfc.modules import GradedFreeModule, GradedMap
 from shfc.resolutions import Presentation
-from shfc.rings import Ring, parse_polynomial
+from shfc.rings import Polynomial, Ring, monomials_of_degree, parse_polynomial
 
 R_P1 = Ring(32003, 2)
 R_P2 = Ring(32003, 3)
 Q_P2 = Ring(0, 3)
+F2_P2 = Ring(2, 3)
 
 LINEAR_ENTRIES = ["0", "x0", "x1", "x2", "x0 + x1", "x1 - x2", "x0 + 2*x2"]
 
@@ -38,6 +40,17 @@ def linear_map(ring, source_degrees, target_degrees, texts):
         for j in range(source.rank)
     ]
     return GradedMap.from_columns(source, target, cols)
+
+
+def densify(strand):
+    """The strand's sparse columns as a dense list of rows."""
+    rows, cols = strand.shape
+    zero = strand.ring.czero()
+    dense = [[zero] * cols for _ in range(rows)]
+    for c, vector in enumerate(strand.columns):
+        for r, value in vector.items():
+            dense[r][c] = value
+    return dense
 
 
 def mat_mul(a, b, ring):
@@ -70,11 +83,45 @@ def test_strand_matrix_is_functorial(psi_texts, phi_texts, ring, d):
     psi = linear_map(ring, (1, 1), (0, 0), [psi_texts[:2], psi_texts[2:]])
     phi = linear_map(ring, (0, 0), (-1, -1), [phi_texts[:2], phi_texts[2:]])
     composite = phi.compose(psi)
-    lhs = composite.strand_matrix(d).entries
+    lhs = densify(composite.strand_matrix(d))
     rhs = mat_mul(
-        phi.strand_matrix(d).entries, psi.strand_matrix(d).entries, ring
+        densify(phi.strand_matrix(d)), densify(psi.strand_matrix(d)), ring
     )
     assert lhs == rhs
+
+
+@st.composite
+def graded_maps(draw):
+    """A random degree-0 map between small free modules over F_32003, F_2 or
+    Q, each entry a random homogeneous polynomial of the right degree."""
+    ring = draw(st.sampled_from([R_P2, F2_P2, Q_P2]))
+    target = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3))
+    source = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    cols = []
+    for a in source:
+        col = []
+        for b in target:
+            monos = monomials_of_degree(ring.num_vars, a - b)
+            terms = {}
+            if monos:
+                terms = draw(
+                    st.dictionaries(st.sampled_from(monos), st.integers(-3, 3), max_size=4)
+                )
+            col.append(Polynomial(ring, terms))
+        cols.append(col)
+    return GradedMap.from_columns(
+        GradedFreeModule(ring, tuple(source)), GradedFreeModule(ring, tuple(target)), cols
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_maps(), st.integers(min_value=-1, max_value=4))
+def test_strand_rank_matches_dense_reference(phi, d):
+    strand = phi.strand_matrix(d)
+    dense = densify(strand)
+    assert strand.shape == (phi.target.strand_dimension(d), phi.source.strand_dimension(d))
+    assert all(value for vector in strand.columns for value in vector.values())
+    assert strand.rank() == dense_rank(dense, phi.ring.characteristic)
 
 
 # --------------------------------------------------------------------------

@@ -6,12 +6,15 @@ computed resolutions is verified independently by strand-level linear
 algebra in verify_strand_exactness.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from shfc.moduleio import presentation_from_dict
-from shfc.modules import binom
+from shfc.modules import GradedMap, binom
 from shfc.resolutions import (
     MINUS_INFINITY,
     Presentation,
@@ -25,7 +28,7 @@ from shfc.resolutions import (
     module_regularity,
     verify_strand_exactness,
 )
-from shfc.rings import AlgebraError, Ring
+from shfc.rings import AlgebraError, InternalError, Polynomial, Ring
 
 from oracles import binomial
 
@@ -196,3 +199,49 @@ def test_twisted_cubic_betti():
     assert module_regularity(betti_table(p)) == 1
     assert [hilbert_function(p, d) for d in range(0, 5)] == [1, 4, 7, 10, 13]
     assert verify_strand_exactness(p)
+
+
+def corrupted_twisted_cubic(char):
+    """The twisted cubic with one column of its cached syzygy map zeroed:
+    consecutive maps still compose to zero, but the complex is no longer
+    exact, which only the strand ranks can see."""
+    p = pres(char, 4, [0], [["x0*x2 - x1^2"], ["x0*x3 - x1*x2"], ["x1*x3 - x2^2"]])
+    res, _ = minimal_free_resolution(p)
+    syz = res.maps[1]
+    columns = syz.columns()
+    columns[0] = [Polynomial.zero(syz.ring)] * syz.target.rank
+    res.maps[1] = GradedMap.from_columns(syz.source, syz.target, columns)
+    return p
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_strand_exactness_rejects_corrupted_resolution(char):
+    assert not issubclass(InternalError, AlgebraError)
+    with pytest.raises(InternalError, match="not exact"):
+        verify_strand_exactness(corrupted_twisted_cubic(char))
+
+
+def test_strand_exactness_check_survives_optimized_python(tmp_path):
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    script = (
+        "import sys\n"
+        "from test_resolutions import corrupted_twisted_cubic, verify_strand_exactness\n"
+        "from shfc.rings import InternalError\n"
+        "if __debug__:\n"
+        "    sys.exit('expected python -O')\n"
+        "for char in (32003, 0):\n"
+        "    try:\n"
+        "        verify_strand_exactness(corrupted_twisted_cubic(char))\n"
+        "    except InternalError as exc:\n"
+        "        print('raised', char, exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [["raised", "32003"], ["raised", "0"]]
+    assert all("not exact" in line for line in lines)
