@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / all suite instances pass, 1 verification failure
 (a failing suite instance, or a refused certificate), 2 usage or parse
-errors. JSON goes to stdout; diagnostics to stderr.
+errors, 3 internal error (a result failed an internal consistency check:
+a bug in shfc, not bad input). JSON goes to stdout; diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .constructions import (
 from .invariants import LocalFreenessError, beilinson_e1, level, phi_certificate, sheaf_regularity
 from .moduleio import dump_module, load_module, save_module
 from .resolutions import MINUS_INFINITY, betti_table
-from .rings import AlgebraError, Ring
-from .suites import DEFAULT_CHAR, DEFAULT_SEED, SUITES, verify_key_theorem
+from .rings import AlgebraError, InternalError, Ring
+from .suites import DEFAULT_CHAR, DEFAULT_SEED, SUITES, verify_key_theorem, worker_cap
 
 
 def _compact(obj):
@@ -153,10 +154,11 @@ def _run(args):
                 return 2
         else:
             kwargs["char"] = args.char if args.char is not None else DEFAULT_CHAR
+        worker_cap()
         report = suite(**kwargs)
         print(report.to_json())
         return 0 if report.all_pass else 1
-    raise AssertionError(f"unhandled command {args.command}")
+    raise InternalError(f"unhandled command {args.command}")
 
 
 def _run_construct(args):
@@ -180,7 +182,7 @@ def _run_construct(args):
     elif kind == "qpow":
         out = q_power_pullback(pres, args.q)
     else:
-        raise AssertionError(f"unhandled construction {kind}")
+        raise InternalError(f"unhandled construction {kind}")
     _emit_module(out, args.out)
     return 0
 
@@ -216,6 +218,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"shfc: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"shfc: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -134,5 +134,6 @@ def euler_characteristic_line(n, m):
     den = 1
     for j in range(1, n + 1):
         den *= j
-    assert num % den == 0
+    if num % den:
+        raise InternalError(f"chi(O({m})) on P^{n} is not an integer")
     return num // den

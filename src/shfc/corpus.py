@@ -62,10 +62,3 @@ def draw_locally_free(ring, rng, cap=DEGREE_CAP):
             pres, desc = _draw_base(ring, rng)
         if _max_degree(pres) <= cap:
             return pres, desc
-
-
-def draw_pairs(ring, rng, count, cap=DEGREE_CAP):
-    return [
-        (draw_locally_free(ring, rng, cap), draw_locally_free(ring, rng, cap))
-        for _ in range(count)
-    ]

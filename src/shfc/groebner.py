@@ -11,6 +11,10 @@ Pair pruning uses the chain criterion (valid for modules) and the product
 criterion only in its valid scope: both elements supported entirely in one
 common position, which is the embedded ideal case. The coprime-lead shortcut
 is false for general module elements, e.g. x*e1 + y*e2 and y*e1 + x*e2.
+
+Minimal generators need no Groebner basis: whether a degree-d column lies in
+the span of the columns kept before it is a question about the degree-d
+strand, settled by the strand elimination of `modules`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import heapq
 
 from .modules import GradedFreeModule, GradedMap
-from .rings import Polynomial, grevlex_key
+from .rings import InternalError, Polynomial, grevlex_key
 
 _MAX_STEPS = 2_000_000
 
@@ -119,13 +123,9 @@ def _normal_form(f, basis, leads, ring):
     return out
 
 
-def _buchberger(elements, ring, degrees, seed=None):
-    """Complete a generating set to a Groebner basis.
-
-    seed, if given, is a list of monic elements already known to be a
-    Groebner basis; only pairs involving new elements are created.
-    Returns the completed list of monic elements (seed included).
-    """
+def _buchberger(elements, ring, degrees):
+    """Complete a generating set to a Groebner basis; returns a list of monic
+    elements."""
     basis = []
     leads = []
     supports = []
@@ -150,15 +150,12 @@ def _buchberger(elements, ring, degrees, seed=None):
             heapq.heappush(heap, entry)
             pending.add((i, idx))
 
-    def add(f, with_pairs=True):
+    def add(f):
         basis.append(f)
         leads.append(_lead(f))
         supports.append({p for (p, _) in f})
-        if with_pairs:
-            push_pairs(len(basis) - 1)
+        push_pairs(len(basis) - 1)
 
-    for f in seed or []:
-        add(f, with_pairs=False)
     for f in elements:
         if not f:
             continue
@@ -167,7 +164,8 @@ def _buchberger(elements, ring, degrees, seed=None):
     steps = 0
     while heap:
         steps += 1
-        assert steps < _MAX_STEPS, "Buchberger loop exceeded step bound"
+        if steps >= _MAX_STEPS:
+            raise InternalError("Buchberger loop exceeded step bound")
         _, pos, u, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         skip = False
@@ -190,7 +188,8 @@ def _buchberger(elements, ring, degrees, seed=None):
         r = _normal_form(s, basis, leads, ring)
         if r:
             add(_make_monic(r, ring))
-    assert all(f[_lead(f)] == one for f in basis)
+    if any(f[_lead(f)] != one for f in basis):
+        raise InternalError("Groebner basis element is not monic")
     return basis
 
 
@@ -216,14 +215,14 @@ def _reduce_basis(basis, ring):
     return [f for _, f in pairs]
 
 
-def _columns_to_elements(phi, offset=0):
+def _columns_to_elements(phi):
     out = []
     for j in range(phi.source.rank):
         elem = {}
         for i in range(phi.target.rank):
             p = phi.matrix[i][j]
             for mono, c in p.terms.items():
-                elem[(i + offset, mono)] = c
+                elem[(i, mono)] = c
         out.append(elem)
     return out
 
@@ -273,29 +272,28 @@ def syzygies(phi):
     return _map_from_elements(syz, phi.source, list(phi.source.degrees), ring)
 
 
+def _select_columns(phi, js):
+    """The restriction of phi to the source generators js, in that order."""
+    source = GradedFreeModule(phi.ring, tuple(phi.source.degrees[j] for j in js))
+    return GradedMap(source, phi.target, tuple(tuple(row[j] for j in js) for row in phi.matrix))
+
+
 def minimal_generators(phi):
     """Prune columns to a minimal homogeneous generating set of the image.
 
-    Columns are taken in weakly increasing degree; one is dropped exactly
-    when it reduces to zero against the span of those already kept, which by
-    graded Nakayama yields a minimal generating set.
+    Columns are taken in (degree, index) order; one of degree d is dropped
+    exactly when it lies in the degree-d strand of the columns already kept,
+    which by graded Nakayama yields a minimal generating set. For each degree
+    d, the degree-d candidates follow the kept columns in one strand matrix;
+    each candidate gives exactly one strand vector, and it is kept iff that
+    vector is independent of the vectors before it.
     """
     phi.validate()
-    ring = phi.ring
-    degrees = list(phi.target.degrees)
-    elems = _columns_to_elements(phi)
-    order = sorted(
-        (j for j in range(len(elems)) if elems[j]),
-        key=lambda j: (_e_degree(elems[j], degrees), j),
-    )
+    degrees = phi.source.degrees
     kept = []
-    gb = []
-    for j in order:
-        cand = elems[j]
-        if gb:
-            leads = [_lead(g) for g in gb]
-            if not _normal_form(cand, gb, leads, ring):
-                continue
-        kept.append(cand)
-        gb = _buchberger([cand], ring, degrees, seed=gb)
-    return _map_from_elements(kept, phi.target, degrees, ring)
+    for d in sorted(set(degrees)):
+        candidates = [j for j, a in enumerate(degrees) if a == d]
+        strand = _select_columns(phi, kept + candidates).strand_matrix(d)
+        first = len(strand.col_basis) - len(candidates)
+        kept += [candidates[c - first] for c in strand.independent_columns() if c >= first]
+    return _select_columns(phi, kept)

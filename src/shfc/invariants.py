@@ -24,7 +24,7 @@ from .resolutions import (
     hilbert_polynomial,
     module_regularity,
 )
-from .rings import AlgebraError
+from .rings import AlgebraError, InternalError
 from .rng import Lcg
 
 
@@ -55,7 +55,8 @@ def level(pres, twist=0):
             h = sheaf_cohomology_dim(pres, j, twist - 1 - i)
             if h:
                 q = j - i
-                assert q >= 1 and q + i <= n
+                if q < 1 or q + i > n:
+                    raise InternalError(f"level witness q={q}, i={i} outside the grid of P^{n}")
                 witnesses.append({"q": q, "i": i, "h": h})
     value = max((w["q"] for w in witnesses), default=0)
     return LevelResult(value, tuple(witnesses))
@@ -82,7 +83,8 @@ def sheaf_regularity(pres):
         return all(sheaf_cohomology_dim(pres, i, m - i) == 0 for i in range(1, n + 1))
 
     m = module_regularity(betti_table(pres))
-    assert regular(m), "module regularity must bound sheaf regularity"
+    if not regular(m):
+        raise InternalError("module regularity must bound sheaf regularity")
     while regular(m - 1):
         m -= 1
     return m

@@ -3,8 +3,10 @@
 A free module is recorded by its generator degrees: degrees (a_1..a_r) means
 S(-a_1) + .. + S(-a_r), so generator j lives in degree a_j. The degree-d
 strand of a map is a finite matrix over the coefficient field, stored as one
-sparse vector per column; `sparse_rank` computes its rank exactly, with one
-elimination routine for both F_p (integers reduced mod p) and Q (Fractions).
+sparse vector per column. One elimination routine, for both F_p (integers
+reduced mod p) and Q (Fractions), finds which columns are independent of the
+ones before them; `sparse_rank` counts them, and `groebner.minimal_generators`
+keeps the generators they belong to.
 """
 
 from __future__ import annotations
@@ -181,21 +183,28 @@ class StrandMatrix:
     def rank(self):
         return sparse_rank(self.columns, self.ring)
 
+    def independent_columns(self):
+        """Indices c, ascending, of the columns not in the span of
+        columns[:c]; there are rank() of them."""
+        return _independent(self.columns, self.ring)
 
-def sparse_rank(vectors, ring):
-    """Exact rank of the span of sparse vectors {index: coefficient} over the
-    coefficient field of ring (F_p or Q).
+
+def _independent(vectors, ring):
+    """Indices, ascending, of the sparse vectors {index: coefficient} that are
+    not in the span of the vectors before them, over the coefficient field of
+    ring (F_p or Q). This is the one exact elimination of the package.
 
     Entries go through ring.coeff first (reduced mod p, or made exact
     Fractions) and zeros are dropped, so no float and no unreduced zero
     reaches the elimination. Each vector is then reduced against the pivot
     rows found so far, lowest index first; pivot row i is monic with i as its
     lowest index. A vector that does not reduce to zero becomes a new pivot
-    row, so the rank is the number of pivot rows. The inputs are not modified.
+    row. The inputs are not modified.
     """
     p = ring.characteristic
     pivots = {}
-    for vector in vectors:
+    out = []
+    for idx, vector in enumerate(vectors):
         v = {}
         for k, c in vector.items():
             c = ring.coeff(c)
@@ -208,6 +217,7 @@ def sparse_rank(vectors, ring):
             if row is None:
                 inv = ring.cinv(f)
                 pivots[lead] = {k: ring.cmul(c, inv) for k, c in v.items()}
+                out.append(idx)
                 break
             for k, c in row.items():
                 x = v.get(k, 0) - f * c
@@ -217,7 +227,14 @@ def sparse_rank(vectors, ring):
                     v[k] = x
                 else:
                     del v[k]
-    return len(pivots)
+    return out
+
+
+def sparse_rank(vectors, ring):
+    """Exact rank of the span of sparse vectors {index: coefficient} over the
+    coefficient field of ring (F_p or Q): the number of pivot rows the
+    elimination finds."""
+    return len(_independent(vectors, ring))
 
 
 def matrix_rank(entries, ring):

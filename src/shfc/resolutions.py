@@ -50,7 +50,6 @@ class FreeResolution:
 
     modules: list
     maps: list
-    minimal: bool = True
 
     @property
     def length(self):
@@ -65,9 +64,6 @@ class BettiTable:
         if not self.entries:
             return MINUS_INFINITY
         return max(j - i for (i, j) in self.entries)
-
-    def column(self, i):
-        return {j: v for (ii, j), v in self.entries.items() if ii == i}
 
 
 def minimize_presentation(pres):
@@ -137,12 +133,14 @@ def minimal_free_resolution(pres):
                 break
             maps.append(sz)
             modules.append(sz.source)
-            assert len(maps) <= ring.num_vars, "Hilbert syzygy bound exceeded"
+            if len(maps) > ring.num_vars:
+                raise InternalError("Hilbert syzygy bound exceeded")
     for m in maps:
         for row in m.matrix:
             for p in row:
-                assert p.is_zero() or not p.is_constant(), "resolution is not minimal"
-    res = FreeResolution(modules=modules, maps=maps, minimal=True)
+                if not p.is_zero() and p.is_constant():
+                    raise InternalError("resolution is not minimal")
+    res = FreeResolution(modules=modules, maps=maps)
     betti = BettiTable(
         entries={
             (i, j): mod.degrees.count(j)
@@ -226,16 +224,8 @@ def hilbert_data(pres, window=None):
 
     Default window: [min generator degree - 2, module regularity + n + 2].
     """
-    res, betti = minimal_free_resolution(pres)
     poly = hilbert_polynomial(pres)
-    if window is None:
-        if betti.entries:
-            lo = min(j for (_, j) in betti.entries) - 2
-            hi = betti.regularity() + pres.ring.dim + 2
-        else:
-            lo, hi = 0, 0
-        window = (lo, hi)
-    lo, hi = window
+    lo, hi = window if window is not None else default_verification_window(pres)
     func = {d: hilbert_function(pres, d) for d in range(lo, hi + 1)}
     return HilbertData(function=func, polynomial=poly)
 

@@ -253,15 +253,6 @@ class Polynomial:
             return Polynomial.zero(ring)
         return Polynomial(ring, {m: ring.cmul(v, c) for m, v in self.terms.items()}, _normalized=True)
 
-    def mul_monomial(self, mono, c=None):
-        """self * c*x^mono, the workhorse of reduction."""
-        ring = self.ring
-        out = {}
-        for m, v in self.terms.items():
-            key = tuple(a + b for a, b in zip(m, mono))
-            out[key] = ring.cmul(v, c) if c is not None else v
-        return Polynomial(ring, out, _normalized=True)
-
     def substitute_powers(self, q):
         """The ring endomorphism x_i -> x_i^q applied to self."""
         if q < 1:
@@ -353,7 +344,6 @@ def parse_polynomial(ring, text):
         return int(text[start:pos])
 
     terms = {}
-    zero_mono = (0,) * ring.num_vars
     skip_ws()
     if pos == n:
         fail("empty polynomial")
@@ -397,8 +387,6 @@ def parse_polynomial(ring, text):
             break
         c = sign * (1 if coeff is None else coeff)
         mono = tuple(expo)
-        if len(mono) != ring.num_vars:
-            mono = zero_mono
         current = terms.get(mono, 0)
         terms[mono] = current + c
         skip_ws()

@@ -7,9 +7,10 @@ no timestamps). A failing instance carries the violated relation with both
 sides and the participating modules inline as module-file JSON.
 
 Evaluation is sequential: instances are pure and independent, so this is
-purely a simplicity choice, and it makes determinism trivial. The optional
-SHFC_THREADS variable is validated (it must be a positive integer) and
-accepted; a single worker never exceeds any cap it states.
+purely a simplicity choice, and it makes determinism trivial. `worker_cap`
+validates the optional SHFC_THREADS variable (it must be a positive integer);
+`shfc verify` calls it once before running a suite, and a single worker never
+exceeds any cap it states.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ def verify_oracle(dim=2, count=200, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
     """Random direct sums of line bundles: engine cohomology must equal the
     closed-form binomial oracle at every (i, d) in the test window, and the
     Euler characteristic must equal the Hilbert polynomial."""
-    worker_cap()
     ring = _sheaf_ring(char, dim)
     n = ring.dim
     rng = Lcg(seed)
@@ -127,7 +127,6 @@ def verify_oracle(dim=2, count=200, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
 
 def verify_subadditivity(dim=2, count=100, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
     """level(E (x) F) <= level(E) + level(F) over seeded locally-free pairs."""
-    worker_cap()
     ring = _sheaf_ring(char, dim)
     rng = Lcg(seed)
     instances = []
@@ -162,7 +161,6 @@ def verify_regularity_tensor(dim=2, count=100, seed=DEFAULT_SEED, char=DEFAULT_C
     """On the same seeded pair corpus as subadditivity: (a) if E is p-regular
     and F is q-regular then E (x) F is (p+q)-regular; (b) h^i(E (x) F) = 0
     for i > level(E(-reg F))."""
-    worker_cap()
     ring = _sheaf_ring(char, dim)
     n = ring.dim
     rng = Lcg(seed)
@@ -253,7 +251,6 @@ def verify_key_theorem(char=2, dim=2, seed=0):
     """Over F_p: h^i(E^(p^N) (x) F) = 0 for every i > level(E(-n)) once
     p^N >= reg(F). N is the smallest power with p^N >= max(reg F, 1); pairs
     whose p^N exceeds the desk-scale degree cap are reported as skipped."""
-    worker_cap()
     if char == 0:
         raise ValueError("the key theorem suite needs positive characteristic")
     ring = _sheaf_ring(char, dim)
@@ -306,7 +303,6 @@ def verify_key_theorem(char=2, dim=2, seed=0):
 
 def verify_bott(dim=2, char=DEFAULT_CHAR, seed=0):
     """h^i(Omega^j(d)) = 0 for every i > 0, 0 <= j <= n, 1 <= d <= n+3."""
-    worker_cap()
     ring = _sheaf_ring(char, dim)
     n = ring.dim
     instances = []
@@ -332,7 +328,6 @@ def verify_bott(dim=2, char=DEFAULT_CHAR, seed=0):
 def verify_beilinson(dim=2, count=30, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
     """For seeded corpus modules E: the first-page rows above level(E)
     vanish, and the table Euler-balances chi(E(d)) for d in [-2, 2]."""
-    worker_cap()
     ring = _sheaf_ring(char, dim)
     n = ring.dim
     rng = Lcg(seed)

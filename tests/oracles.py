@@ -1,18 +1,26 @@
-"""Independent closed-form oracles the engine is tested against.
+"""Independent oracles and reference computations the engine is tested against.
 
-Nothing here touches the engine: these are textbook binomial formulas,
-implemented separately so that agreement with the resolution/duality
-pipeline is meaningful evidence. The two oracles cross-validate each other
-(and themselves) through Serre duality and Euler-characteristic recursions;
-`test_oracles_are_self_consistent` in test_cohomology.py runs those checks.
+The cohomology oracles touch nothing of the engine: they are textbook
+binomial formulas, implemented separately so that agreement with the
+resolution/duality pipeline is meaningful evidence. The two oracles
+cross-validate each other (and themselves) through Serre duality and
+Euler-characteristic recursions; `test_oracles_are_self_consistent` in
+test_cohomology.py runs those checks.
 
-The dense row eliminations at the end are the reference for the engine's
-sparse rank kernel: plain column-by-column Gaussian elimination on full
-rows, mod p or over exact Fractions.
+The dense row eliminations are the reference for the engine's sparse rank
+kernel: plain column-by-column Gaussian elimination on full rows, mod p or
+over exact Fractions.
+
+`minimal_generators_by_groebner` is the reference for the engine's minimal
+generators, which come from strand elimination: it decides the same graded
+Nakayama rule by Groebner reduction instead, through the engine's
+Buchberger routine, so the two share no linear algebra.
 """
 
 import math
 from fractions import Fraction
+
+from shfc.groebner import _buchberger, _columns_to_elements, _lead, _normal_form
 
 
 def binomial(m, k):
@@ -99,6 +107,27 @@ def dense_rank_rational(rows):
     """Rank of a dense matrix of integers or Fractions over Q."""
     a = [[Fraction(x) for x in row] for row in rows]
     return _dense_rank(a, lambda x, y: x / y, lambda x: x)
+
+
+def minimal_generators_by_groebner(phi):
+    """Indices of the columns of phi that graded Nakayama keeps, decided by
+    Groebner reduction. Columns are taken in (degree, index) order; one is
+    kept iff its normal form against a Groebner basis of the columns kept
+    before it is nonzero. The basis is recomputed from scratch after every
+    kept column."""
+    ring = phi.ring
+    target_degrees = list(phi.target.degrees)
+    elems = _columns_to_elements(phi)
+    order = sorted(range(len(elems)), key=lambda j: (phi.source.degrees[j], j))
+    kept, basis = [], []
+    for j in order:
+        if not elems[j]:
+            continue
+        if basis and not _normal_form(elems[j], basis, [_lead(g) for g in basis], ring):
+            continue
+        kept.append(j)
+        basis = _buchberger([elems[k] for k in kept], ring, target_degrees)
+    return kept
 
 
 def _dense_rank(a, divide, reduce):

@@ -6,16 +6,24 @@ its input symbolically, and its image must fill the kernel degree by
 degree (rank-nullity on strands). Those two facts pin the kernel exactly.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import minimal_generators_by_groebner
+
+from shfc import groebner
 from shfc.groebner import groebner_basis, minimal_generators, syzygies
 from shfc.modules import GradedFreeModule, GradedMap, binom
-from shfc.rings import Polynomial, Ring, parse_polynomial
+from shfc.rings import InternalError, Polynomial, Ring, monomials_of_degree, parse_polynomial
 
 R2 = Ring(32003, 3)
 Q2 = Ring(0, 3)
+F2 = Ring(2, 3)
 
 
 def column_map(ring, gen_degrees, columns_text):
@@ -168,3 +176,108 @@ def test_syzygy_tower_terminates():
         steps += 1
         assert steps <= 3
     assert steps == 2  # Koszul: relations in step 1, last syzygy in step 2
+
+
+def test_buchberger_step_bound_raises_internal_error(monkeypatch):
+    monkeypatch.setattr(groebner, "_MAX_STEPS", 1)
+    with pytest.raises(InternalError, match="step bound"):
+        syzygies(column_map(R2, [0], [["x0"], ["x1"]]))
+
+
+def test_buchberger_step_bound_survives_optimized_python(tmp_path):
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    script = (
+        "import sys\n"
+        "from shfc import groebner\n"
+        "from shfc.rings import InternalError\n"
+        "from test_groebner import R2, column_map\n"
+        "if __debug__:\n"
+        "    sys.exit('expected python -O')\n"
+        "groebner._MAX_STEPS = 1\n"
+        "try:\n"
+        "    groebner.syzygies(column_map(R2, [0], [['x0'], ['x1']]))\n"
+        "except InternalError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised Buchberger loop exceeded step bound\n"
+
+
+# --------------------------------------------------------------------------
+# minimal generators: strand elimination against Groebner reduction
+# --------------------------------------------------------------------------
+
+
+def assert_matches_groebner_rule(phi):
+    """minimal_generators keeps exactly the oracle's columns, in its order."""
+    kept = minimal_generators_by_groebner(phi)
+    mins = minimal_generators(phi)
+    assert mins.target == phi.target
+    assert mins.source.degrees == tuple(phi.source.degrees[j] for j in kept)
+    assert mins.matrix == tuple(tuple(row[j] for j in kept) for row in phi.matrix)
+    return kept
+
+
+@st.composite
+def planted_maps(draw):
+    """Random columns over P^2, then planted redundant ones: monomial
+    multiples, same-degree linear combinations and zero columns, all
+    shuffled in among the originals."""
+    ring = draw(st.sampled_from([R2, F2, Q2]))
+    target = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=2)))
+    coeffs = st.integers(-2, 2)
+
+    def homogeneous(e):
+        terms = {m: draw(coeffs) for m in monomials_of_degree(3, e)} if e >= 0 else {}
+        return Polynomial(ring, terms)
+
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, 3))
+        columns.append((d, [homogeneous(d - a) for a in target]))
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["multiple", "combination", "zero"]))
+        d, col = draw(st.sampled_from(columns))
+        if kind == "multiple":
+            x = Polynomial.variable(ring, draw(st.integers(0, 2)))
+            columns.append((d + 1, [x * p for p in col]))
+        elif kind == "combination":
+            _, other = draw(st.sampled_from([c for c in columns if c[0] == d]))
+            a, b = draw(coeffs), draw(coeffs)
+            columns.append((d, [p.scale(a) + q.scale(b) for p, q in zip(col, other)]))
+        else:
+            columns.append((d, [Polynomial.zero(ring)] * len(target)))
+    columns = draw(st.permutations(columns))
+    source = GradedFreeModule(ring, tuple(d for d, _ in columns))
+    return GradedMap.from_columns(source, GradedFreeModule(ring, target), [c for _, c in columns])
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_maps())
+def test_minimal_generators_match_groebner_oracle(phi):
+    phi.validate()
+    assert_matches_groebner_rule(phi)
+
+
+@pytest.mark.parametrize("char", [32003, 2, 0])
+def test_minimal_generators_drop_same_degree_combination(char):
+    phi = column_map(Ring(char, 3), [0], [["x0"], ["x1"], ["x0 + x1"]])
+    assert assert_matches_groebner_rule(phi) == [0, 1]
+
+
+@pytest.mark.parametrize("char", [32003, 2, 0])
+def test_minimal_generators_wide_degree_spread(char):
+    # linear and sextic columns over P^3; the sextics that are multiples of
+    # a linear column or combinations of kept sextics are dropped
+    ring = Ring(char, 4)
+    phi = column_map(ring, [0], [
+        ["x2^6"], ["x0*x3^5"], ["x0"], ["x3^6 + x0^2*x2^4"],
+        ["x1^3*x2^3 - x0*x1^5"], ["x1"], ["x2^6 - x3^6 + x1*x2*x3^4"], ["x2^5*x3"],
+    ])
+    assert assert_matches_groebner_rule(phi) == [2, 5, 0, 3, 7]

@@ -27,7 +27,7 @@ from shfc.moduleio import (
 )
 from shfc.modules import GradedFreeModule, GradedMap
 from shfc.resolutions import Presentation
-from shfc.rings import ParseError, Ring, parse_polynomial
+from shfc.rings import InternalError, ParseError, Ring, parse_polynomial
 from shfc.suites import SUITES, VerificationReport, _instance
 
 
@@ -441,6 +441,20 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     bad.write_text("{")
     assert main(["level", "--module", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    # exit 1 means "verification failed"; a failed internal check is a bug
+    # in shfc and must not be mistaken for it
+    def broken(pres):
+        raise InternalError("planted inconsistency")
+
+    monkeypatch.setattr("shfc.cli.betti_table", broken)
+    path = write_module(tmp_path, "s.json", S_P1)
+    assert main(["betti", "--module", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "shfc: internal error: planted inconsistency\n"
 
 
 def test_cli_twist_window_with_negative_start(tmp_path, capsys):
