@@ -19,10 +19,6 @@ from .resolutions import Presentation
 DEGREE_CAP = 10
 
 
-def line_bundle(ring, a):
-    return Presentation.free(ring, (-a,))
-
-
 def line_bundle_sum(ring, twists):
     return Presentation.free(ring, tuple(-a for a in twists))
 

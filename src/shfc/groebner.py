@@ -1,11 +1,22 @@
 """Buchberger engine for graded submodules of free modules, with syzygies.
 
-Module terms are pairs (position, monomial) ordered position-over-term: a
-lower generator index dominates, ties broken by grevlex on the monomial.
+Module terms are pairs (position, exponents reversed), ordered position-
+over-term: a lower generator index dominates, ties broken by grevlex on the
+monomial. In one position the terms of a homogeneous element share their
+total degree, where grevlex is reverse lex: the monomial with the smaller
+last exponent is the larger. With the exponents reversed that is tuple
+order, so the lead term of a homogeneous element is min(f). Every element
+here is homogeneous because the public entry points validate their map;
+only `_reduce_basis`, which sorts leads of different degrees, needs
+`_term_key`. `_columns_to_elements` and `_map_from_elements` are the only
+converters between a GradedMap and this element form.
+
 Kernels are computed with an elimination order on the graph of the map:
 inside target + source, every target term beats every source term, so the
 Groebner elements supported entirely in the source block cut out exactly
-the kernel.
+the kernel. An element with any target term has its lead in the target
+block, so it can neither divide nor reduce a term of a source-block element;
+only the source-block elements are interreduced.
 
 Pair pruning uses the chain criterion (valid for modules) and the product
 criterion only in its valid scope: both elements supported entirely in one
@@ -22,18 +33,20 @@ from __future__ import annotations
 import heapq
 
 from .modules import GradedFreeModule, GradedMap
-from .rings import InternalError, Polynomial, grevlex_key
+from .rings import InternalError, Polynomial
 
 _MAX_STEPS = 2_000_000
 
 
 def _term_key(term):
-    pos, mono = term
-    return (-pos,) + grevlex_key(mono)
+    """Sort key of the full module order, total degree included, ascending:
+    for sorting the leads of elements of different degrees."""
+    pos, r = term
+    return (-pos, sum(r), tuple(-e for e in r))
 
 
 def _lead(f):
-    return max(f, key=_term_key)
+    return min(f)
 
 
 def _mono_divides(a, b):
@@ -50,11 +63,6 @@ def _mono_sub(a, b):
 
 def _mono_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _e_degree(f, degrees):
-    pos, mono = next(iter(f))
-    return sum(mono) + degrees[pos]
 
 
 def _make_monic(f, ring):
@@ -98,7 +106,7 @@ def _normal_form(f, basis, leads, ring):
     work = dict(f)
     zero = ring.czero()
     while work:
-        t = max(work, key=_term_key)
+        t = min(work)
         c = work.pop(t)
         pos, mono = t
         hit = None
@@ -220,28 +228,26 @@ def _columns_to_elements(phi):
     for j in range(phi.source.rank):
         elem = {}
         for i in range(phi.target.rank):
-            p = phi.matrix[i][j]
-            for mono, c in p.terms.items():
-                elem[(i, mono)] = c
+            for mono, c in phi.matrix[i][j].terms.items():
+                elem[(i, mono[::-1])] = c
         out.append(elem)
     return out
 
 
-def _elements_to_columns(elems, rank, ring):
+def _map_from_elements(elems, target):
+    """The graded map into target with one column per (nonzero) element."""
+    ring = target.ring
+    zero = Polynomial.zero(ring)
     cols = []
+    src_degrees = []
     for f in elems:
-        col = [dict() for _ in range(rank)]
-        for (pos, mono), c in f.items():
-            col[pos][mono] = c
-        cols.append([Polynomial(ring, t, _normalized=True) for t in col])
-    return cols
-
-
-def _map_from_elements(elems, target, degrees, ring):
-    cols = _elements_to_columns(elems, target.rank, ring)
-    src_degrees = tuple(_e_degree(f, degrees) for f in elems)
-    source = GradedFreeModule(ring, src_degrees)
-    return GradedMap.from_columns(source, target, cols)
+        col = {}
+        for (pos, r), c in f.items():
+            col.setdefault(pos, {})[r[::-1]] = c
+        cols.append([Polynomial(ring, col[i], _normalized=True) if i in col else zero for i in range(target.rank)])
+        pos, r = next(iter(f))
+        src_degrees.append(sum(r) + target.degrees[pos])
+    return GradedMap.from_columns(GradedFreeModule(ring, tuple(src_degrees)), target, cols)
 
 
 def groebner_basis(phi):
@@ -252,7 +258,7 @@ def groebner_basis(phi):
     degrees = list(phi.target.degrees)
     elems = [f for f in _columns_to_elements(phi) if f]
     gb = _reduce_basis(_buchberger(elems, ring, degrees), ring)
-    return _map_from_elements(gb, phi.target, degrees, ring)
+    return _map_from_elements(gb, phi.target)
 
 
 def syzygies(phi):
@@ -264,12 +270,10 @@ def syzygies(phi):
     elems = _columns_to_elements(phi)
     for j in range(phi.source.rank):
         elems[j][(r + j, (0,) * ring.num_vars)] = ring.coeff(1)
-    gb = _reduce_basis(_buchberger(elems, ring, degrees), ring)
-    syz = []
-    for f in gb:
-        if all(pos >= r for (pos, _) in f):
-            syz.append({(pos - r, mono): c for (pos, mono), c in f.items()})
-    return _map_from_elements(syz, phi.source, list(phi.source.degrees), ring)
+    # the lead is the lowest position, so these lie wholly in the source block
+    kernel = [f for f in _buchberger(elems, ring, degrees) if _lead(f)[0] >= r]
+    syz = [{(pos - r, mono): c for (pos, mono), c in f.items()} for f in _reduce_basis(kernel, ring)]
+    return _map_from_elements(syz, phi.source)
 
 
 def _select_columns(phi, js):

@@ -94,6 +94,8 @@ def parse_module(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     return presentation_from_dict(data)
 
 

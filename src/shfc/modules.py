@@ -92,19 +92,20 @@ class GradedMap:
         return self.target.ring
 
     def validate(self):
-        """Check ring agreement and entry-wise homogeneity of the right degrees."""
-        if self.source.ring != self.target.ring:
+        """Check ring agreement and entry-wise homogeneity of the right degrees.
+
+        Rings are compared by identity first: entries built from one map
+        share its ring object, and Ring equality builds tuples per call."""
+        ring = self.ring
+        if self.source.ring != ring:
             raise RingMismatchError("source and target rings differ")
+        src, tgt = self.source.degrees, self.target.degrees
         for i, row in enumerate(self.matrix):
             for j, p in enumerate(row):
-                if p.ring != self.ring:
+                if p.ring is not ring and p.ring != ring:
                     raise RingMismatchError(f"entry ({i},{j}) lives in a different ring")
-                d = p.homogeneous_degree()
-                want = self.source.degrees[j] - self.target.degrees[i]
-                if d is not None and d != want:
-                    raise AlgebraError(
-                        f"entry ({i},{j}) has degree {d}, expected {want}"
-                    )
+                if p.terms and (d := p.homogeneous_degree()) != src[j] - tgt[i]:
+                    raise AlgebraError(f"entry ({i},{j}) has degree {d}, expected {src[j] - tgt[i]}")
         return self
 
     def column(self, j):

@@ -1,4 +1,4 @@
-"""Presentations, minimal free resolutions, Betti tables, Hilbert data.
+"""Presentations, minimal free resolutions, Betti tables, Hilbert functions.
 
 A module is the cokernel of a graded map rels: F1 -> F0 = gens. Resolutions
 are built minimal by construction: the presentation is first reduced by unit
@@ -149,7 +149,6 @@ def minimal_free_resolution(pres):
         }
     )
     pres.cache["resolution"] = (res, betti)
-    pres.cache["minimized"] = reduced
     return res, betti
 
 
@@ -208,26 +207,6 @@ def evaluate_hilbert_polynomial(coeffs, d):
     if acc.denominator != 1:
         raise AlgebraError(f"Hilbert polynomial value at {d} is not an integer: {acc}")
     return int(acc)
-
-
-@dataclass
-class HilbertData:
-    function: dict
-    polynomial: tuple
-
-    def polynomial_value(self, d):
-        return evaluate_hilbert_polynomial(self.polynomial, d)
-
-
-def hilbert_data(pres, window=None):
-    """Hilbert function over a degree window plus the Hilbert polynomial.
-
-    Default window: [min generator degree - 2, module regularity + n + 2].
-    """
-    poly = hilbert_polynomial(pres)
-    lo, hi = window if window is not None else default_verification_window(pres)
-    func = {d: hilbert_function(pres, d) for d in range(lo, hi + 1)}
-    return HilbertData(function=func, polynomial=poly)
 
 
 def default_verification_window(pres):

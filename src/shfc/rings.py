@@ -169,10 +169,6 @@ class Polynomial:
         mono = tuple(1 if i == k else 0 for i in range(ring.num_vars))
         return cls(ring, {mono: ring.coeff(1)}, _normalized=True)
 
-    @classmethod
-    def monomial(cls, ring, mono, c=1):
-        return cls(ring, {tuple(mono): c})
-
     # predicates ----------------------------------------------------------
     def is_zero(self):
         return not self.terms
@@ -182,12 +178,6 @@ class Polynomial:
 
     def constant_value(self):
         return self.terms.get((0,) * self.ring.num_vars, self.ring.czero())
-
-    def degree(self):
-        """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(m) for m in self.terms)
 
     def homogeneous_degree(self):
         """Degree if homogeneous (None for zero); raises otherwise."""

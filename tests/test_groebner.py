@@ -19,7 +19,16 @@ from oracles import minimal_generators_by_groebner
 from shfc import groebner
 from shfc.groebner import groebner_basis, minimal_generators, syzygies
 from shfc.modules import GradedFreeModule, GradedMap, binom
-from shfc.rings import InternalError, Polynomial, Ring, monomials_of_degree, parse_polynomial
+from shfc.rings import (
+    AlgebraError,
+    InternalError,
+    Polynomial,
+    Ring,
+    RingMismatchError,
+    grevlex_key,
+    monomials_of_degree,
+    parse_polynomial,
+)
 
 R2 = Ring(32003, 3)
 Q2 = Ring(0, 3)
@@ -162,6 +171,104 @@ def test_groebner_basis_canonical_under_column_order(perm, ring):
     cols_a = {tuple(p for p in gb_a.column(j)) for j in range(gb_a.source.rank)}
     cols_b = {tuple(p for p in gb_b.column(j)) for j in range(gb_b.source.rank)}
     assert cols_a == cols_b  # the reduced basis is canonical
+
+
+# --------------------------------------------------------------------------
+# syzygies: the reduced Groebner basis of the kernel, pinned from outside
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def homogeneous_maps(draw):
+    """Graded maps over P^2 with sparse random homogeneous columns, zero
+    entries and zero columns included."""
+    ring = draw(st.sampled_from([R2, F2, Q2]))
+    target = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=2)))
+    columns, degrees = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, 3))
+        col = []
+        for a in target:
+            monos = monomials_of_degree(3, d - a)
+            chosen = draw(st.lists(st.sampled_from(monos), max_size=3)) if monos else []
+            col.append(Polynomial(ring, {m: draw(st.integers(-2, 2)) for m in chosen}))
+        columns.append(col)
+        degrees.append(d)
+    source = GradedFreeModule(ring, tuple(degrees))
+    return GradedMap.from_columns(source, GradedFreeModule(ring, target), columns)
+
+
+def _column_lead(col):
+    """Lowest position with a nonzero entry, then its grevlex-largest
+    monomial: the lead under position-over-grevlex."""
+    i = next(i for i, p in enumerate(col) if not p.is_zero())
+    return i, max(col[i].terms, key=grevlex_key)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(homogeneous_maps())
+def test_syzygies_are_the_reduced_kernel_basis_in_order(phi):
+    ring = phi.ring
+    syz = syzygies(phi)
+    cols = syz.columns()
+    # (a) the columns lie in the kernel
+    assert phi.compose(syz).is_zero()
+    leads = [_column_lead(col) for col in cols]
+    for j, (col, (i, m)) in enumerate(zip(cols, leads)):
+        # (b) monic leads
+        assert col[i].terms[m] == ring.coeff(1)
+        # (c) no term is divisible by the lead of another column
+        for k, (pos, lead) in enumerate(leads):
+            if k != j:
+                assert not any(_divides(lead, mono) for mono in col[pos].terms)
+    # (d) leads strictly increase in position-over-grevlex order
+    keys = [(-i,) + grevlex_key(m) for i, m in leads]
+    assert keys == sorted(set(keys))
+    # (e) the leads span the initial module of the kernel in every degree
+    for d in range(0, max(phi.source.degrees) + 4):
+        strand = phi.strand_matrix(d)
+        nullity = strand.shape[1] - strand.rank()
+        covered = sum(
+            1
+            for i, a in enumerate(phi.source.degrees)
+            for mono in monomials_of_degree(ring.num_vars, d - a)
+            if any(pos == i and _divides(lead, mono) for pos, lead in leads)
+        )
+        assert covered == nullity, d
+
+
+def _bad_maps():
+    """One map per check of GradedMap.validate, with the error it raises."""
+    gens = GradedFreeModule(R2, (0,))
+    source = GradedFreeModule(R2, (1,))
+
+    def one_entry(text, ring=R2):
+        return GradedMap(source, gens, ((parse_polynomial(ring, text),),))
+
+    return [
+        (one_entry("x0 + x1^2"), AlgebraError, "not homogeneous"),
+        (one_entry("x0^2"), AlgebraError, r"entry \(0,0\) has degree 2, expected 1"),
+        (one_entry("x0", Ring(32003, 4)), RingMismatchError, "different ring"),
+        (one_entry("x0", F2), RingMismatchError, "different ring"),
+        (
+            GradedMap(GradedFreeModule(F2, (1,)), gens, ((parse_polynomial(R2, "x0"),),)),
+            RingMismatchError,
+            "source and target rings differ",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("entry_point", [groebner_basis, syzygies, minimal_generators])
+def test_public_entry_points_reject_invalid_maps(entry_point):
+    # the lead term is min(f) only on homogeneous elements, so every public
+    # entry point validates its map first
+    for phi, error, message in _bad_maps():
+        with pytest.raises(error, match=message):
+            entry_point(phi)
 
 
 def test_syzygy_tower_terminates():

@@ -443,6 +443,17 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_deeply_nested_module_exits_2(tmp_path, capsys):
+    # json.loads recurses per nesting level; too deep is a parse error
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code = main(["betti", "--module", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("shfc:")
+    assert captured.out == ""
+
+
 def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     # exit 1 means "verification failed"; a failed internal check is a bug
     # in shfc and must not be mistaken for it

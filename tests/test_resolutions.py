@@ -20,7 +20,6 @@ from shfc.resolutions import (
     Presentation,
     betti_table,
     evaluate_hilbert_polynomial,
-    hilbert_data,
     hilbert_function,
     hilbert_polynomial,
     minimal_free_resolution,
@@ -135,9 +134,11 @@ def test_hilbert_function_polynomial_ring():
 
 def test_hilbert_function_point():
     p = pres(32003, 3, [0], [["x1"], ["x2"]])
+    assert hilbert_function(p, -1) == 0
     for d in range(0, 6):
         assert hilbert_function(p, d) == 1
     assert hilbert_polynomial(p) == (Fraction(1),)
+    assert evaluate_hilbert_polynomial(hilbert_polynomial(p), 10) == 1
     assert verify_strand_exactness(p)
 
 
@@ -154,13 +155,6 @@ def test_hilbert_function_matches_polynomial_beyond_regularity():
     reg = module_regularity(betti_table(p))
     for d in range(reg + 1, reg + 6):
         assert hilbert_function(p, d) == evaluate_hilbert_polynomial(coeffs, d)
-
-
-def test_hilbert_data_window():
-    p = pres(32003, 3, [0], [["x1"], ["x2"]])
-    data = hilbert_data(p, window=(-1, 3))
-    assert data.function == {-1: 0, 0: 1, 1: 1, 2: 1, 3: 1}
-    assert data.polynomial_value(10) == 1
 
 
 def test_evaluate_hilbert_polynomial_rejects_non_integer():
