@@ -2,8 +2,10 @@
 
 Exit codes: 0 success / all suite instances pass, 1 verification failure
 (a failing suite instance, or a refused certificate), 2 usage or parse
-errors, 3 internal error (a result failed an internal consistency check:
-a bug in shfc, not bad input). JSON goes to stdout; diagnostics to stderr.
+errors, 3 internal error (a result failed an internal consistency check,
+or the run hit RecursionError or MemoryError: a bug or a resource limit of
+shfc, not a failed verification). JSON goes to stdout; diagnostics to
+stderr.
 """
 
 from __future__ import annotations
@@ -220,6 +222,9 @@ def main(argv=None):
         return 2
     except InternalError as exc:
         print(f"shfc: internal error: {exc}", file=sys.stderr)
+        return 3
+    except (RecursionError, MemoryError) as exc:
+        print(f"shfc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

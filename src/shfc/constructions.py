@@ -35,11 +35,7 @@ def direct_sum(a, b):
     for col in b.rels.columns():
         cols.append([zero] * a.gens.rank + list(col))
     source = GradedFreeModule(ring, a.rels.source.degrees + b.rels.source.degrees)
-    if cols:
-        rels = GradedMap.from_columns(source, gens, cols)
-    else:
-        rels = GradedMap.zero(source, gens)
-    return Presentation(gens, rels)
+    return Presentation(gens, GradedMap.from_columns(source, gens, cols))
 
 
 def tensor(a, b):
@@ -76,11 +72,7 @@ def tensor(a, b):
             cols.append(col)
             col_degrees.append(a.gens.degrees[i] + b.rels.source.degrees[v])
     source = GradedFreeModule(ring, tuple(col_degrees))
-    if cols:
-        rels = GradedMap.from_columns(source, gens, cols)
-    else:
-        rels = GradedMap.zero(source, gens)
-    return Presentation(gens, rels)
+    return Presentation(gens, GradedMap.from_columns(source, gens, cols))
 
 
 def sym_power(pres, r):
@@ -108,11 +100,7 @@ def sym_power(pres, r):
             cols.append(col)
             col_degrees.append(pres.rels.source.degrees[u] + sum(base[k] for k in ms))
     source = GradedFreeModule(ring, tuple(col_degrees))
-    if cols:
-        rels = GradedMap.from_columns(source, gens, cols)
-    else:
-        rels = GradedMap.zero(source, gens)
-    return Presentation(gens, rels)
+    return Presentation(gens, GradedMap.from_columns(source, gens, cols))
 
 
 def q_power_pullback(pres, q):
@@ -127,11 +115,7 @@ def q_power_pullback(pres, q):
     rows = tuple(
         tuple(p.substitute_powers(q) for p in row) for row in pres.rels.matrix
     )
-    if source.rank:
-        rels = GradedMap(source, gens, rows)
-    else:
-        rels = GradedMap.zero(source, gens)
-    return Presentation(gens, rels)
+    return Presentation(gens, GradedMap(source, gens, rows))
 
 
 def koszul_differential(ring, m):

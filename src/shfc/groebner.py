@@ -24,16 +24,18 @@ common position, which is the embedded ideal case. The coprime-lead shortcut
 is false for general module elements, e.g. x*e1 + y*e2 and y*e1 + x*e2.
 
 Minimal generators need no Groebner basis: whether a degree-d column lies in
-the span of the columns kept before it is a question about the degree-d
-strand, settled by the strand elimination of `modules`.
+the span of the columns kept before it is a question about degree-d vectors.
+They run on elements too: the kept columns' monomial multiples of degree d
+and the degree-d candidates, keyed by module term, go through the one exact
+elimination of `modules`, with no strand matrix and no intermediate map.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .modules import GradedFreeModule, GradedMap
-from .rings import InternalError, Polynomial
+from .modules import GradedFreeModule, GradedMap, _independent
+from .rings import InternalError, Polynomial, monomials_of_degree
 
 _MAX_STEPS = 2_000_000
 
@@ -276,28 +278,29 @@ def syzygies(phi):
     return _map_from_elements(syz, phi.source)
 
 
-def _select_columns(phi, js):
-    """The restriction of phi to the source generators js, in that order."""
-    source = GradedFreeModule(phi.ring, tuple(phi.source.degrees[j] for j in js))
-    return GradedMap(source, phi.target, tuple(tuple(row[j] for j in js) for row in phi.matrix))
-
-
 def minimal_generators(phi):
     """Prune columns to a minimal homogeneous generating set of the image.
 
     Columns are taken in (degree, index) order; one of degree d is dropped
     exactly when it lies in the degree-d strand of the columns already kept,
     which by graded Nakayama yields a minimal generating set. For each degree
-    d, the degree-d candidates follow the kept columns in one strand matrix;
-    each candidate gives exactly one strand vector, and it is kept iff that
-    vector is independent of the vectors before it.
+    d, the kept columns times every monomial of the complementary degree come
+    first, then the degree-d candidates, all as elements; a candidate is kept
+    iff the elimination finds it independent of the vectors before it.
     """
     phi.validate()
+    ring = phi.ring
     degrees = phi.source.degrees
+    elems = _columns_to_elements(phi)
     kept = []
     for d in sorted(set(degrees)):
         candidates = [j for j, a in enumerate(degrees) if a == d]
-        strand = _select_columns(phi, kept + candidates).strand_matrix(d)
-        first = len(strand.col_basis) - len(candidates)
-        kept += [candidates[c - first] for c in strand.independent_columns() if c >= first]
-    return _select_columns(phi, kept)
+        vectors = [
+            {(pos, _mono_add(r, m)): c for (pos, r), c in elems[k].items()}
+            for k in kept
+            for m in monomials_of_degree(ring.num_vars, d - degrees[k])
+        ]
+        first = len(vectors)
+        vectors += [elems[j] for j in candidates]
+        kept += [candidates[i - first] for i in _independent(vectors, ring) if i >= first]
+    return _map_from_elements([elems[j] for j in kept], phi.target)

@@ -43,6 +43,7 @@ def presentation_from_dict(data):
         raise ParseError("generators must be a list of integers")
     gens = GradedFreeModule(ring, tuple(gen_degrees))
 
+    zero = Polynomial.zero(ring)
     columns = []
     col_degrees = []
     for j, col in enumerate(relations):
@@ -57,7 +58,7 @@ def presentation_from_dict(data):
             if not isinstance(text, str):
                 raise ParseError(f"relations[{j}][{i}] must be a string")
             try:
-                p = parse_polynomial(ring, text)
+                p = zero if text == "0" else parse_polynomial(ring, text)
             except ParseError as exc:
                 raise ParseError(f"relations[{j}][{i}]: {exc}", exc.column) from None
             entries.append(p)
@@ -78,12 +79,7 @@ def presentation_from_dict(data):
         col_degrees.append(degree if degree is not None else 0)
 
     source = GradedFreeModule(ring, tuple(col_degrees))
-    if columns:
-        rels = GradedMap.from_columns(source, gens, columns)
-        rels.validate()
-    else:
-        rels = GradedMap.zero(source, gens)
-    return Presentation(gens, rels)
+    return Presentation(gens, GradedMap.from_columns(source, gens, columns).validate())
 
 
 def parse_module(text):

@@ -4,9 +4,9 @@ A free module is recorded by its generator degrees: degrees (a_1..a_r) means
 S(-a_1) + .. + S(-a_r), so generator j lives in degree a_j. The degree-d
 strand of a map is a finite matrix over the coefficient field, stored as one
 sparse vector per column. One elimination routine, for both F_p (integers
-reduced mod p) and Q (Fractions), finds which columns are independent of the
-ones before them; `sparse_rank` counts them, and `groebner.minimal_generators`
-keeps the generators they belong to.
+reduced mod p) and Q (Fractions), finds which sparse vectors are independent
+of the ones before them; `sparse_rank` counts them for strands, and
+`groebner.minimal_generators` runs it on module elements.
 """
 
 from __future__ import annotations
@@ -184,22 +184,20 @@ class StrandMatrix:
     def rank(self):
         return sparse_rank(self.columns, self.ring)
 
-    def independent_columns(self):
-        """Indices c, ascending, of the columns not in the span of
-        columns[:c]; there are rank() of them."""
-        return _independent(self.columns, self.ring)
-
 
 def _independent(vectors, ring):
-    """Indices, ascending, of the sparse vectors {index: coefficient} that are
+    """Indices, ascending, of the sparse vectors {key: coefficient} that are
     not in the span of the vectors before them, over the coefficient field of
-    ring (F_p or Q). This is the one exact elimination of the package.
+    ring (F_p or Q). This is the one exact elimination of the package. Keys
+    may be any mutually comparable hashables: strand row indices, or module
+    terms (position, exponents) of `groebner` elements. Their order only
+    picks the pivots, not which vectors are independent.
 
     Entries go through ring.coeff first (reduced mod p, or made exact
     Fractions) and zeros are dropped, so no float and no unreduced zero
     reaches the elimination. Each vector is then reduced against the pivot
-    rows found so far, lowest index first; pivot row i is monic with i as its
-    lowest index. A vector that does not reduce to zero becomes a new pivot
+    rows found so far, lowest key first; pivot row k is monic with k as its
+    lowest key. A vector that does not reduce to zero becomes a new pivot
     row. The inputs are not modified.
     """
     p = ring.characteristic

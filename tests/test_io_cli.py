@@ -63,6 +63,22 @@ def test_parse_quotient_module():
     )
     assert p.rels.source.degrees == (1, 1)
     assert p.rels.matrix[0][0] == parse_polynomial(p.ring, "x0")
+    # "0" takes a shortcut past the tokenizer; every spelling of zero must
+    # give a zero entry that leaves the column degrees alone
+    for z in ("0", " 0 ", "00", "x1 - x1"):
+        p = presentation_from_dict(
+            {
+                "ring": {"char": 0, "vars": 2},
+                "generators": [0, 1],
+                "relations": [["x0", z], [z, "x1"], [z, z]],
+            }
+        )
+        assert p.rels.source.degrees == (1, 2, 0), z
+        assert [p.rels.matrix[i][j].is_zero() for i in range(2) for j in range(3)] == [
+            False, True, True, True, False, True
+        ], z
+        assert p.rels.matrix[0][0] == parse_polynomial(p.ring, "x0")
+        assert p.rels.matrix[1][1] == parse_polynomial(p.ring, "x1")
 
 
 def test_parse_accepts_bytes():
@@ -466,6 +482,32 @@ def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "shfc: internal error: planted inconsistency\n"
+
+
+def test_cli_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    def exhausted(pres):
+        raise MemoryError("planted exhaustion")
+
+    monkeypatch.setattr("shfc.cli.betti_table", exhausted)
+    path = write_module(tmp_path, "s.json", S_P1)
+    assert main(["betti", "--module", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "shfc: internal error: MemoryError: planted exhaustion\n"
+
+
+def test_cli_recursion_error_exits_3(tmp_path, capsys):
+    # 1000 variables drive the recursive monomial enumeration past the
+    # interpreter's recursion limit; that is not a failed verification
+    path = write_module(
+        tmp_path,
+        "wide.json",
+        {"ring": {"char": 32003, "vars": 1000}, "generators": [0], "relations": [["x0"], ["x0*x1"]]},
+    )
+    assert main(["betti", "--module", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("shfc: internal error: RecursionError: ")
 
 
 def test_cli_twist_window_with_negative_start(tmp_path, capsys):
