@@ -28,7 +28,7 @@ from .invariants import LocalFreenessError, beilinson_e1, level, phi_certificate
 from .moduleio import dump_module, load_module, save_module
 from .resolutions import MINUS_INFINITY, betti_table
 from .rings import AlgebraError, InternalError, Ring
-from .suites import DEFAULT_CHAR, DEFAULT_SEED, SUITES, verify_key_theorem, worker_cap
+from .suites import DEFAULT_CHAR, DEFAULT_SEED, SUITES, verify_key_theorem
 
 
 def _compact(obj):
@@ -156,7 +156,6 @@ def _run(args):
                 return 2
         else:
             kwargs["char"] = args.char if args.char is not None else DEFAULT_CHAR
-        worker_cap()
         report = suite(**kwargs)
         print(report.to_json())
         return 0 if report.all_pass else 1

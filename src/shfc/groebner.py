@@ -23,19 +23,19 @@ criterion only in its valid scope: both elements supported entirely in one
 common position, which is the embedded ideal case. The coprime-lead shortcut
 is false for general module elements, e.g. x*e1 + y*e2 and y*e1 + x*e2.
 
-Minimal generators need no Groebner basis: whether a degree-d column lies in
-the span of the columns kept before it is a question about degree-d vectors.
-They run on elements too: the kept columns' monomial multiples of degree d
-and the degree-d candidates, keyed by module term, go through the one exact
-elimination of `modules`, with no strand matrix and no intermediate map.
+One Buchberger loop serves all three entry points. It takes inputs and
+S-pairs in degree order, so a column of degree d meets a d-truncated
+Groebner basis of the columns kept before it; minimal generators are the
+columns whose normal form there is nonzero, and the loop stops once no
+column waits. The two other entry points run it to completion.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .modules import GradedFreeModule, GradedMap, _independent
-from .rings import InternalError, Polynomial, monomials_of_degree
+from .modules import GradedFreeModule, GradedMap
+from .rings import InternalError, Polynomial
 
 _MAX_STEPS = 2_000_000
 
@@ -133,14 +133,23 @@ def _normal_form(f, basis, leads, ring):
     return out
 
 
-def _buchberger(elements, ring, degrees):
-    """Complete a generating set to a Groebner basis; returns a list of monic
-    elements."""
+def _buchberger(elements, ring, degrees, truncate=False):
+    """Degree by degree Buchberger loop; returns (basis, kept).
+
+    Inputs and S-pairs wait in one heap keyed by degree, pairs first at
+    equal degree, so inputs pop in (degree, index) order. A popped input is
+    reduced against the basis so far and, if the remainder is nonzero, added
+    monic; kept lists the indices of those inputs. An added element is fully
+    reduced, so every pair it makes has a higher degree: when a degree-d
+    input pops, the basis is a d-truncated Groebner basis of the inputs kept
+    before it. With truncate the loop stops once no input waits; otherwise
+    basis is a Groebner basis of the inputs."""
     basis = []
     leads = []
     supports = []
     pending = set()
     heap = []
+    kept = []
     one = ring.coeff(1)
 
     def push_pairs(idx):
@@ -156,27 +165,38 @@ def _buchberger(elements, ring, degrees):
             ):
                 continue  # product criterion, ideal case only
             u = _mono_lcm(m_i, m_new)
-            entry = (sum(u) + degrees[pos_new], pos_new, u, i, idx)
-            heapq.heappush(heap, entry)
+            heapq.heappush(heap, (sum(u) + degrees[pos_new], 0, pos_new, u, i, idx))
             pending.add((i, idx))
 
     def add(f):
+        f = _make_monic(f, ring)
         basis.append(f)
         leads.append(_lead(f))
         supports.append({p for (p, _) in f})
         push_pairs(len(basis) - 1)
 
-    for f in elements:
-        if not f:
-            continue
-        add(_make_monic(f, ring))
+    for j, f in enumerate(elements):
+        if f:
+            pos, r = next(iter(f))
+            heap.append((sum(r) + degrees[pos], 1, j))
+    heapq.heapify(heap)
+    waiting = len(heap)
 
     steps = 0
-    while heap:
+    while heap and (waiting or not truncate):
         steps += 1
         if steps >= _MAX_STEPS:
             raise InternalError("Buchberger loop exceeded step bound")
-        _, pos, u, i, j = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        if entry[1]:
+            waiting -= 1
+            j = entry[2]
+            r = _normal_form(elements[j], basis, leads, ring)
+            if r:
+                add(r)
+                kept.append(j)
+            continue
+        _, _, pos, u, i, j = entry
         pending.discard((i, j))
         skip = False
         for k in range(len(basis)):
@@ -197,10 +217,10 @@ def _buchberger(elements, ring, degrees):
             continue
         r = _normal_form(s, basis, leads, ring)
         if r:
-            add(_make_monic(r, ring))
+            add(r)
     if any(f[_lead(f)] != one for f in basis):
         raise InternalError("Groebner basis element is not monic")
-    return basis
+    return basis, kept
 
 
 def _reduce_basis(basis, ring):
@@ -258,8 +278,7 @@ def groebner_basis(phi):
     phi.validate()
     ring = phi.ring
     degrees = list(phi.target.degrees)
-    elems = [f for f in _columns_to_elements(phi) if f]
-    gb = _reduce_basis(_buchberger(elems, ring, degrees), ring)
+    gb = _reduce_basis(_buchberger(_columns_to_elements(phi), ring, degrees)[0], ring)
     return _map_from_elements(gb, phi.target)
 
 
@@ -273,7 +292,7 @@ def syzygies(phi):
     for j in range(phi.source.rank):
         elems[j][(r + j, (0,) * ring.num_vars)] = ring.coeff(1)
     # the lead is the lowest position, so these lie wholly in the source block
-    kernel = [f for f in _buchberger(elems, ring, degrees) if _lead(f)[0] >= r]
+    kernel = [f for f in _buchberger(elems, ring, degrees)[0] if _lead(f)[0] >= r]
     syz = [{(pos - r, mono): c for (pos, mono), c in f.items()} for f in _reduce_basis(kernel, ring)]
     return _map_from_elements(syz, phi.source)
 
@@ -282,25 +301,12 @@ def minimal_generators(phi):
     """Prune columns to a minimal homogeneous generating set of the image.
 
     Columns are taken in (degree, index) order; one of degree d is dropped
-    exactly when it lies in the degree-d strand of the columns already kept,
-    which by graded Nakayama yields a minimal generating set. For each degree
-    d, the kept columns times every monomial of the complementary degree come
-    first, then the degree-d candidates, all as elements; a candidate is kept
-    iff the elimination finds it independent of the vectors before it.
+    exactly when it lies in the span of the columns already kept, which by
+    graded Nakayama yields a minimal generating set. The truncated Buchberger
+    loop decides this: a column is kept iff its normal form against the
+    d-truncated Groebner basis of the kept columns is nonzero.
     """
     phi.validate()
-    ring = phi.ring
-    degrees = phi.source.degrees
     elems = _columns_to_elements(phi)
-    kept = []
-    for d in sorted(set(degrees)):
-        candidates = [j for j, a in enumerate(degrees) if a == d]
-        vectors = [
-            {(pos, _mono_add(r, m)): c for (pos, r), c in elems[k].items()}
-            for k in kept
-            for m in monomials_of_degree(ring.num_vars, d - degrees[k])
-        ]
-        first = len(vectors)
-        vectors += [elems[j] for j in candidates]
-        kept += [candidates[i - first] for i in _independent(vectors, ring) if i >= first]
+    _, kept = _buchberger(elems, phi.ring, list(phi.target.degrees), truncate=True)
     return _map_from_elements([elems[j] for j in kept], phi.target)

@@ -3,10 +3,9 @@
 A free module is recorded by its generator degrees: degrees (a_1..a_r) means
 S(-a_1) + .. + S(-a_r), so generator j lives in degree a_j. The degree-d
 strand of a map is a finite matrix over the coefficient field, stored as one
-sparse vector per column. One elimination routine, for both F_p (integers
-reduced mod p) and Q (Fractions), finds which sparse vectors are independent
-of the ones before them; `sparse_rank` counts them for strands, and
-`groebner.minimal_generators` runs it on module elements.
+sparse vector per column. One elimination routine, `sparse_rank`, serves
+both F_p (integers reduced mod p) and Q (Fractions); strand ranks and
+`matrix_rank` are its only users.
 """
 
 from __future__ import annotations
@@ -185,25 +184,22 @@ class StrandMatrix:
         return sparse_rank(self.columns, self.ring)
 
 
-def _independent(vectors, ring):
-    """Indices, ascending, of the sparse vectors {key: coefficient} that are
-    not in the span of the vectors before them, over the coefficient field of
-    ring (F_p or Q). This is the one exact elimination of the package. Keys
-    may be any mutually comparable hashables: strand row indices, or module
-    terms (position, exponents) of `groebner` elements. Their order only
-    picks the pivots, not which vectors are independent.
+def sparse_rank(vectors, ring):
+    """Exact rank of the span of sparse vectors {index: coefficient} over the
+    coefficient field of ring (F_p or Q). This is the one exact elimination
+    of the package.
 
     Entries go through ring.coeff first (reduced mod p, or made exact
     Fractions) and zeros are dropped, so no float and no unreduced zero
     reaches the elimination. Each vector is then reduced against the pivot
-    rows found so far, lowest key first; pivot row k is monic with k as its
-    lowest key. A vector that does not reduce to zero becomes a new pivot
-    row. The inputs are not modified.
+    rows found so far, lowest index first; pivot row k is monic with k as its
+    lowest index. A vector that does not reduce to zero becomes a new pivot
+    row, so the rank is the number of pivot rows. The inputs are not
+    modified.
     """
     p = ring.characteristic
     pivots = {}
-    out = []
-    for idx, vector in enumerate(vectors):
+    for vector in vectors:
         v = {}
         for k, c in vector.items():
             c = ring.coeff(c)
@@ -216,7 +212,6 @@ def _independent(vectors, ring):
             if row is None:
                 inv = ring.cinv(f)
                 pivots[lead] = {k: ring.cmul(c, inv) for k, c in v.items()}
-                out.append(idx)
                 break
             for k, c in row.items():
                 x = v.get(k, 0) - f * c
@@ -226,14 +221,7 @@ def _independent(vectors, ring):
                     v[k] = x
                 else:
                     del v[k]
-    return out
-
-
-def sparse_rank(vectors, ring):
-    """Exact rank of the span of sparse vectors {index: coefficient} over the
-    coefficient field of ring (F_p or Q): the number of pivot rows the
-    elimination finds."""
-    return len(_independent(vectors, ring))
+    return len(pivots)
 
 
 def matrix_rank(entries, ring):

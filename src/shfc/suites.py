@@ -7,16 +7,12 @@ no timestamps). A failing instance carries the violated relation with both
 sides and the participating modules inline as module-file JSON.
 
 Evaluation is sequential: instances are pure and independent, so this is
-purely a simplicity choice, and it makes determinism trivial. `worker_cap`
-validates the optional SHFC_THREADS variable (it must be a positive integer);
-`shfc verify` calls it once before running a suite, and a single worker never
-exceeds any cap it states.
+purely a simplicity choice, and it makes determinism trivial.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 from .cohomology import line_bundle_oracle, sheaf_cohomology_dim
@@ -30,21 +26,6 @@ from .rng import Lcg
 
 DEFAULT_CHAR = 32003
 DEFAULT_SEED = 2024
-
-
-def worker_cap():
-    """Validate the optional SHFC_THREADS variable. Suites run one worker;
-    the variable is an upper bound, so any positive value is honored."""
-    raw = os.environ.get("SHFC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"SHFC_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"SHFC_THREADS must be positive, got {cap}")
-    return 1
 
 
 @dataclass(frozen=True)

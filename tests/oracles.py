@@ -126,7 +126,7 @@ def minimal_generators_by_groebner(phi):
         if basis and not _normal_form(elems[j], basis, [_lead(g) for g in basis], ring):
             continue
         kept.append(j)
-        basis = _buchberger([elems[k] for k in kept], ring, target_degrees)
+        basis = _buchberger([elems[k] for k in kept], ring, target_degrees)[0]
     return kept
 
 

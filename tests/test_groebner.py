@@ -376,6 +376,10 @@ def test_minimal_generators_match_groebner_oracle(phi):
 def test_minimal_generators_drop_same_degree_combination(char):
     phi = column_map(Ring(char, 3), [0], [["x0"], ["x1"], ["x0 + x1"]])
     assert assert_matches_groebner_rule(phi) == [0, 1]
+    # x1*f1 - x0*f2 = -x0*x2^2: the cubic lies in the span only through a
+    # degree-3 S-pair, which must be reduced before the cubic is tested
+    phi = column_map(Ring(char, 3), [0], [["x0^2"], ["x0*x1 + x2^2"], ["x0*x2^2"]])
+    assert assert_matches_groebner_rule(phi) == [0, 1]
 
 
 @pytest.mark.parametrize("char", [32003, 2, 0])

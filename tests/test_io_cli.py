@@ -497,14 +497,17 @@ def test_cli_memory_error_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_recursion_error_exits_3(tmp_path, capsys):
-    # 1000 variables drive the recursive monomial enumeration past the
-    # interpreter's recursion limit; that is not a failed verification
+    # 1000 variables drive the recursive monomial enumeration of a strand
+    # basis past the interpreter's recursion limit; that is not a failed
+    # verification. The Betti table needs no strand and comes out whole.
     path = write_module(
         tmp_path,
         "wide.json",
         {"ring": {"char": 32003, "vars": 1000}, "generators": [0], "relations": [["x0"], ["x0*x1"]]},
     )
-    assert main(["betti", "--module", path]) == 3
+    assert main(["betti", "--module", path]) == 0
+    assert capsys.readouterr().out == '{"betti":[[0,0,1],[1,1,1]],"regularity":0}\n'
+    assert main(["reg", "--module", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("shfc: internal error: RecursionError: ")
@@ -517,14 +520,3 @@ def test_cli_twist_window_with_negative_start(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
 
-
-def test_cli_threads_env_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SHFC_THREADS", "not-a-number")
-    assert main(["verify", "bott", "--dim", "1"]) == 2
-    assert "SHFC_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("SHFC_THREADS", "0")
-    assert main(["verify", "bott", "--dim", "1"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("SHFC_THREADS", "4")
-    assert main(["verify", "bott", "--dim", "1"]) == 0
-    capsys.readouterr()
