@@ -18,22 +18,16 @@ from .rings import AlgebraError, Polynomial
 
 def twist(pres, e):
     """M(e): all generator and relation degrees shift by -e."""
-    gens = pres.gens.shifted(e)
-    rels = GradedMap(pres.rels.source.shifted(e), gens, pres.rels.matrix)
-    return Presentation(gens, rels)
+    return Presentation(pres.gens.shifted(e), pres.rels.twisted(e))
 
 
 def direct_sum(a, b):
     if a.ring != b.ring:
         raise AlgebraError("direct sum needs a common ring")
     ring = a.ring
-    zero = Polynomial.zero(ring)
+    ra = a.gens.rank
     gens = GradedFreeModule(ring, a.gens.degrees + b.gens.degrees)
-    cols = []
-    for col in a.rels.columns():
-        cols.append(list(col) + [zero] * b.gens.rank)
-    for col in b.rels.columns():
-        cols.append([zero] * a.gens.rank + list(col))
+    cols = a.rels.cols + [{ra + i: p for i, p in col.items()} for col in b.rels.cols]
     source = GradedFreeModule(ring, a.rels.source.degrees + b.rels.source.degrees)
     return Presentation(gens, GradedMap.from_columns(source, gens, cols))
 
@@ -43,7 +37,6 @@ def tensor(a, b):
     if a.ring != b.ring:
         raise AlgebraError("tensor needs a common ring")
     ring = a.ring
-    zero = Polynomial.zero(ring)
     ra, rb = a.gens.rank, b.gens.rank
     gen_degrees = tuple(da + db for da in a.gens.degrees for db in b.gens.degrees)
     gens = GradedFreeModule(ring, gen_degrees)
@@ -53,23 +46,13 @@ def tensor(a, b):
 
     cols = []
     col_degrees = []
-    for u in range(a.rels.source.rank):
+    for u, col in enumerate(a.rels.cols):
         for k in range(rb):
-            col = [zero] * (ra * rb)
-            for i in range(ra):
-                p = a.rels.matrix[i][u]
-                if not p.is_zero():
-                    col[pair(i, k)] = p
-            cols.append(col)
+            cols.append({pair(i, k): p for i, p in col.items()})
             col_degrees.append(a.rels.source.degrees[u] + b.gens.degrees[k])
     for i in range(ra):
-        for v in range(b.rels.source.rank):
-            col = [zero] * (ra * rb)
-            for k in range(rb):
-                p = b.rels.matrix[k][v]
-                if not p.is_zero():
-                    col[pair(i, k)] = p
-            cols.append(col)
+        for v, col in enumerate(b.rels.cols):
+            cols.append({pair(i, k): p for k, p in col.items()})
             col_degrees.append(a.gens.degrees[i] + b.rels.source.degrees[v])
     source = GradedFreeModule(ring, tuple(col_degrees))
     return Presentation(gens, GradedMap.from_columns(source, gens, cols))
@@ -80,7 +63,6 @@ def sym_power(pres, r):
     if r < 1:
         raise AlgebraError(f"symmetric power needs r >= 1, got {r}")
     ring = pres.ring
-    zero = Polynomial.zero(ring)
     base = pres.gens.degrees
     multisets = list(itertools.combinations_with_replacement(range(len(base)), r))
     gens = GradedFreeModule(ring, tuple(sum(base[k] for k in ms) for ms in multisets))
@@ -88,16 +70,10 @@ def sym_power(pres, r):
     smaller = list(itertools.combinations_with_replacement(range(len(base)), r - 1))
     cols = []
     col_degrees = []
-    for u in range(pres.rels.source.rank):
+    for u, col in enumerate(pres.rels.cols):
         for ms in smaller:
-            col = [zero] * len(multisets)
-            for k in range(len(base)):
-                p = pres.rels.matrix[k][u]
-                if p.is_zero():
-                    continue
-                target = tuple(sorted(ms + (k,)))
-                col[index[target]] = col[index[target]] + p
-            cols.append(col)
+            # distinct k give distinct multisets ms + (k,), so no entries collide
+            cols.append({index[tuple(sorted(ms + (k,)))]: p for k, p in col.items()})
             col_degrees.append(pres.rels.source.degrees[u] + sum(base[k] for k in ms))
     source = GradedFreeModule(ring, tuple(col_degrees))
     return Presentation(gens, GradedMap.from_columns(source, gens, cols))
@@ -112,10 +88,8 @@ def q_power_pullback(pres, q):
     ring = pres.ring
     gens = GradedFreeModule(ring, tuple(q * a for a in pres.gens.degrees))
     source = GradedFreeModule(ring, tuple(q * a for a in pres.rels.source.degrees))
-    rows = tuple(
-        tuple(p.substitute_powers(q) for p in row) for row in pres.rels.matrix
-    )
-    return Presentation(gens, GradedMap(source, gens, rows))
+    cols = [{i: p.substitute_powers(q) for i, p in col.items()} for col in pres.rels.cols]
+    return Presentation(gens, GradedMap.from_columns(source, gens, cols))
 
 
 def koszul_differential(ring, m):
@@ -129,15 +103,12 @@ def koszul_differential(ring, m):
     tgt_index = {s: i for i, s in enumerate(tgt_sets)}
     source = GradedFreeModule(ring, (0,) * len(src_sets))
     target = GradedFreeModule(ring, (-1,) * len(tgt_sets))
-    zero = Polynomial.zero(ring)
     cols = []
     for s in src_sets:
-        col = [zero] * len(tgt_sets)
+        col = {}
         for slot, t in enumerate(s):
-            rest = s[:slot] + s[slot + 1 :]
-            sign = -1 if slot % 2 else 1
             term = Polynomial.variable(ring, t)
-            col[tgt_index[rest]] = col[tgt_index[rest]] + (term if sign > 0 else -term)
+            col[tgt_index[s[:slot] + s[slot + 1 :]]] = -term if slot % 2 else term
         cols.append(col)
     return GradedMap.from_columns(source, target, cols)
 

@@ -246,27 +246,22 @@ def _reduce_basis(basis, ring):
 
 
 def _columns_to_elements(phi):
-    out = []
-    for j in range(phi.source.rank):
-        elem = {}
-        for i in range(phi.target.rank):
-            for mono, c in phi.matrix[i][j].terms.items():
-                elem[(i, mono[::-1])] = c
-        out.append(elem)
-    return out
+    return [
+        {(i, mono[::-1]): c for i, p in col.items() for mono, c in p.terms.items()}
+        for col in phi.cols
+    ]
 
 
 def _map_from_elements(elems, target):
     """The graded map into target with one column per (nonzero) element."""
     ring = target.ring
-    zero = Polynomial.zero(ring)
     cols = []
     src_degrees = []
     for f in elems:
         col = {}
         for (pos, r), c in f.items():
             col.setdefault(pos, {})[r[::-1]] = c
-        cols.append([Polynomial(ring, col[i], _normalized=True) if i in col else zero for i in range(target.rank)])
+        cols.append({i: Polynomial(ring, terms, _normalized=True) for i, terms in col.items()})
         pos, r = next(iter(f))
         src_degrees.append(sum(r) + target.degrees[pos])
     return GradedMap.from_columns(GradedFreeModule(ring, tuple(src_degrees)), target, cols)

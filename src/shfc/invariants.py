@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .cohomology import sheaf_cohomology_dim
 from .constructions import koszul_kernel, q_power_pullback, sym_power, tensor
+from .modules import sparse_rank
 from .resolutions import (
     MINUS_INFINITY,
     betti_table,
@@ -93,13 +94,8 @@ def sheaf_regularity(pres):
 # --- local freeness gate ----------------------------------------------------
 
 def _corank_at_point(pres, point):
-    from .modules import matrix_rank
-
-    ring = pres.ring
-    rows = [[p.evaluate(point) for p in row] for row in pres.rels.matrix]
-    if pres.rels.source.rank == 0:
-        return pres.gens.rank
-    return pres.gens.rank - matrix_rank(rows, ring)
+    cols = [{i: p.evaluate(point) for i, p in col.items()} for col in pres.rels.cols]
+    return pres.gens.rank - sparse_rank(cols, pres.ring)
 
 
 def locally_free_probe(pres, samples=20, seed=101):

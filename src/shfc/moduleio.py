@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .modules import GradedFreeModule, GradedMap
 from .resolutions import Presentation
-from .rings import ParseError, Polynomial, Ring, parse_polynomial
+from .rings import ParseError, Ring, parse_polynomial
 
 
 def presentation_from_dict(data):
@@ -43,7 +43,8 @@ def presentation_from_dict(data):
         raise ParseError("generators must be a list of integers")
     gens = GradedFreeModule(ring, tuple(gen_degrees))
 
-    zero = Polynomial.zero(ring)
+    if not isinstance(relations, list):
+        raise ParseError("relations must be a list of columns")
     columns = []
     col_degrees = []
     for j, col in enumerate(relations):
@@ -52,18 +53,20 @@ def presentation_from_dict(data):
                 f"relations column {j} must list one polynomial per generator "
                 f"({gens.rank} expected)"
             )
-        entries = []
+        entries = {}
         degree = None
         for i, text in enumerate(col):
             if not isinstance(text, str):
                 raise ParseError(f"relations[{j}][{i}] must be a string")
+            if text == "0":
+                continue
             try:
-                p = zero if text == "0" else parse_polynomial(ring, text)
+                p = parse_polynomial(ring, text)
             except ParseError as exc:
-                raise ParseError(f"relations[{j}][{i}]: {exc}", exc.column) from None
-            entries.append(p)
+                raise ParseError(f"relations[{j}][{i}]: {exc}") from None
             if p.is_zero():
                 continue
+            entries[i] = p
             try:
                 d = p.homogeneous_degree() + gen_degrees[i]
             except Exception:
@@ -102,28 +105,27 @@ def load_module(path):
 
 def _clear_denominators(column):
     denom = 1
-    for p in column:
+    for p in column.values():
         for c in p.terms.values():
             if isinstance(c, Fraction):
                 denom = math.lcm(denom, c.denominator)
     if denom == 1:
         return column
-    return [p.scale(denom) for p in column]
+    return {i: p.scale(denom) for i, p in column.items()}
 
 
 def presentation_to_dict(pres):
-    """Serialize; zero relation columns are dropped, and over the rationals
-    each column is scaled to clear denominators (a unit scaling, so the
-    presented module is unchanged)."""
+    """Serialize; zero relation columns are dropped, absent entries are
+    written as "0", and over the rationals each column is scaled to clear
+    denominators (a unit scaling, so the presented module is unchanged)."""
     ring = pres.ring
     columns = []
-    for j in range(pres.rels.source.rank):
-        col = list(pres.rels.column(j))
-        if all(p.is_zero() for p in col):
+    for col in pres.rels.cols:
+        if not col:
             continue
         if ring.characteristic == 0:
             col = _clear_denominators(col)
-        columns.append([p.to_string() for p in col])
+        columns.append([col[i].to_string() if i in col else "0" for i in range(pres.gens.rank)])
     return {
         "ring": {"char": ring.characteristic, "vars": ring.num_vars},
         "generators": list(pres.gens.degrees),

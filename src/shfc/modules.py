@@ -4,8 +4,8 @@ A free module is recorded by its generator degrees: degrees (a_1..a_r) means
 S(-a_1) + .. + S(-a_r), so generator j lives in degree a_j. The degree-d
 strand of a map is a finite matrix over the coefficient field, stored as one
 sparse vector per column. One elimination routine, `sparse_rank`, serves
-both F_p (integers reduced mod p) and Q (Fractions); strand ranks and
-`matrix_rank` are its only users.
+both F_p (integers reduced mod p) and Q (Fractions): strand ranks, and
+the corank of a relation matrix evaluated at a point.
 """
 
 from __future__ import annotations
@@ -57,38 +57,58 @@ class GradedFreeModule:
         return GradedFreeModule(self.ring, tuple(a - e for a in self.degrees))
 
 
-@dataclass
+@dataclass(init=False)
 class GradedMap:
-    """A degree-0 map of graded free modules, stored as a target.rank x
-    source.rank matrix of homogeneous polynomials (column j = image of
-    source generator j; entry (i,j) homogeneous of degree
-    source.degrees[j] - target.degrees[i])."""
+    """A degree-0 map of graded free modules, stored by columns: cols[j] is
+    the image of source generator j as {target index i: entry}, with only
+    the nonzero entries present. Entry (i,j) is homogeneous of degree
+    source.degrees[j] - target.degrees[i].
+
+    The positional constructor takes dense rows; `from_columns` takes the
+    sparse columns themselves. `matrix` is the dense target.rank x
+    source.rank view, built on each read."""
 
     source: GradedFreeModule
     target: GradedFreeModule
-    matrix: tuple
+    cols: list
 
-    def __post_init__(self):
-        self.matrix = tuple(tuple(row) for row in self.matrix)
-        if len(self.matrix) != self.target.rank:
-            raise AlgebraError(f"matrix has {len(self.matrix)} rows, target rank {self.target.rank}")
-        for row in self.matrix:
-            if len(row) != self.source.rank:
-                raise AlgebraError(f"matrix row width {len(row)}, source rank {self.source.rank}")
-
-    @classmethod
-    def zero(cls, source, target):
-        z = Polynomial.zero(target.ring)
-        return cls(source, target, tuple(tuple(z for _ in range(source.rank)) for _ in range(target.rank)))
+    def __init__(self, source, target, rows):
+        rows = [tuple(row) for row in rows]
+        if len(rows) != target.rank:
+            raise AlgebraError(f"matrix has {len(rows)} rows, target rank {target.rank}")
+        for row in rows:
+            if len(row) != source.rank:
+                raise AlgebraError(f"matrix row width {len(row)}, source rank {source.rank}")
+        self.source = source
+        self.target = target
+        self.cols = [{i: row[j] for i, row in enumerate(rows) if row[j].terms} for j in range(source.rank)]
 
     @classmethod
     def from_columns(cls, source, target, columns):
-        rows = tuple(tuple(columns[j][i] for j in range(len(columns))) for i in range(target.rank))
-        return cls(source, target, rows)
+        """The map whose column j is columns[j], a dict {target index:
+        Polynomial}; zero entries are dropped."""
+        if len(columns) != source.rank:
+            raise AlgebraError(f"{len(columns)} columns, source rank {source.rank}")
+        cols = []
+        for j, col in enumerate(columns):
+            for i in col:
+                if not 0 <= i < target.rank:
+                    raise AlgebraError(f"column {j} has row {i}, target rank {target.rank}")
+            cols.append({i: p for i, p in col.items() if p.terms})
+        phi = cls.__new__(cls)
+        phi.source, phi.target, phi.cols = source, target, cols
+        return phi
 
     @property
     def ring(self):
         return self.target.ring
+
+    @property
+    def matrix(self):
+        zero = Polynomial.zero(self.ring)
+        return tuple(
+            tuple(col.get(i, zero) for col in self.cols) for i in range(self.target.rank)
+        )
 
     def validate(self):
         """Check ring agreement and entry-wise homogeneity of the right degrees.
@@ -99,53 +119,40 @@ class GradedMap:
         if self.source.ring != ring:
             raise RingMismatchError("source and target rings differ")
         src, tgt = self.source.degrees, self.target.degrees
-        for i, row in enumerate(self.matrix):
-            for j, p in enumerate(row):
+        for j, col in enumerate(self.cols):
+            for i, p in col.items():
                 if p.ring is not ring and p.ring != ring:
                     raise RingMismatchError(f"entry ({i},{j}) lives in a different ring")
-                if p.terms and (d := p.homogeneous_degree()) != src[j] - tgt[i]:
+                if (d := p.homogeneous_degree()) != src[j] - tgt[i]:
                     raise AlgebraError(f"entry ({i},{j}) has degree {d}, expected {src[j] - tgt[i]}")
         return self
 
-    def column(self, j):
-        return [self.matrix[i][j] for i in range(self.target.rank)]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.source.rank)]
-
     def is_zero(self):
-        return all(p.is_zero() for row in self.matrix for p in row)
+        return not any(self.cols)
 
     def compose(self, other):
         """self o other (apply other first)."""
         if other.target != self.source:
             raise AlgebraError("maps are not composable")
-        ring = self.ring
-        rows = []
-        for i in range(self.target.rank):
-            row = []
-            for j in range(other.source.rank):
-                acc = Polynomial.zero(ring)
-                for k in range(self.source.rank):
-                    a = self.matrix[i][k]
-                    b = other.matrix[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return GradedMap(other.source, self.target, tuple(rows))
+        cols = []
+        for col in other.cols:
+            acc = {}
+            for k, b in col.items():
+                for i, a in self.cols[k].items():
+                    acc[i] = acc[i] + a * b if i in acc else a * b
+            cols.append(acc)
+        return GradedMap.from_columns(other.source, self.target, cols)
 
     def dual(self):
         """Transpose the matrix, negate all degrees."""
-        rows = tuple(
-            tuple(self.matrix[i][j] for i in range(self.target.rank))
-            for j in range(self.source.rank)
-        )
-        return GradedMap(self.target.dual(), self.source.dual(), rows)
+        cols = [{} for _ in range(self.target.rank)]
+        for j, col in enumerate(self.cols):
+            for i, p in col.items():
+                cols[i][j] = p
+        return GradedMap.from_columns(self.target.dual(), self.source.dual(), cols)
 
     def twisted(self, e):
-        return GradedMap(self.source.shifted(e), self.target.shifted(e), self.matrix)
+        return GradedMap.from_columns(self.source.shifted(e), self.target.shifted(e), self.cols)
 
     def strand_matrix(self, d):
         """Sparse matrix of the degree-d strand, by columns: for source basis
@@ -155,8 +162,8 @@ class GradedMap:
         cols = self.source.strand_basis(d)
         row_index = {b: r for r, b in enumerate(rows)}
         terms = [
-            [(i, mono, c) for i, row in enumerate(self.matrix) for mono, c in row[j].terms.items()]
-            for j in range(self.source.rank)
+            [(i, mono, c) for i, p in col.items() for mono, c in p.terms.items()]
+            for col in self.cols
         ]
         columns = [
             {row_index[i, tuple(map(add, mono, mono_src))]: c for i, mono, c in terms[j]}
@@ -223,8 +230,3 @@ def sparse_rank(vectors, ring):
                     del v[k]
     return len(pivots)
 
-
-def matrix_rank(entries, ring):
-    """Exact rank of a dense matrix, given as a list of rows, over the
-    coefficient field of ring."""
-    return sparse_rank((dict(enumerate(row)) for row in entries), ring)

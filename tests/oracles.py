@@ -11,6 +11,10 @@ The dense row eliminations are the reference for the engine's sparse rank
 kernel: plain column-by-column Gaussian elimination on full rows, mod p or
 over exact Fractions.
 
+The dense map operations are the reference for `GradedMap`, which stores
+only the nonzero entries of each column: they work on the full `.matrix`
+rows, zeros included, by the textbook formulas.
+
 `minimal_generators_by_groebner` is the reference for the engine's minimal
 generators, which come from strand elimination: it decides the same graded
 Nakayama rule by Groebner reduction instead, through the engine's
@@ -21,6 +25,7 @@ import math
 from fractions import Fraction
 
 from shfc.groebner import _buchberger, _columns_to_elements, _lead, _normal_form
+from shfc.rings import Polynomial, monomials_of_degree
 
 
 def binomial(m, k):
@@ -107,6 +112,38 @@ def dense_rank_rational(rows):
     """Rank of a dense matrix of integers or Fractions over Q."""
     a = [[Fraction(x) for x in row] for row in rows]
     return _dense_rank(a, lambda x, y: x / y, lambda x: x)
+
+
+def dense_compose(phi, psi):
+    """Rows of phi o psi: entry (i, j) is the sum over k of phi[i][k] *
+    psi[k][j], zero products included."""
+    a, b = phi.matrix, psi.matrix
+    zero = Polynomial.zero(phi.ring)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(psi.source.rank))
+        for i in range(len(a))
+    )
+
+
+def dense_dual(phi):
+    """Rows of the transpose of phi.matrix."""
+    a = phi.matrix
+    return tuple(tuple(a[i][j] for i in range(phi.target.rank)) for j in range(phi.source.rank))
+
+
+def dense_strand(phi, d):
+    """The degree-d strand of phi as dense rows over the coefficient field:
+    the entry at row m*e_i and column m'*e_j is the coefficient of m / m' in
+    phi.matrix[i][j] (zero unless m' divides m)."""
+    n = phi.ring.num_vars
+    a = phi.matrix
+    zero = phi.ring.czero()
+    rows = [(i, m) for i, t in enumerate(phi.target.degrees) for m in monomials_of_degree(n, d - t)]
+    cols = [(j, m) for j, s in enumerate(phi.source.degrees) for m in monomials_of_degree(n, d - s)]
+    return [
+        [a[i][j].terms.get(tuple(x - y for x, y in zip(m, m2)), zero) for j, m2 in cols]
+        for i, m in rows
+    ]
 
 
 def minimal_generators_by_groebner(phi):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import dense_rank
 
-from shfc.modules import GradedFreeModule, GradedMap, binom, matrix_rank, sparse_rank
+from shfc.modules import GradedFreeModule, GradedMap, binom, sparse_rank
 from shfc.rings import (
     AlgebraError,
     ParseError,
@@ -23,6 +23,11 @@ from shfc.rings import (
 
 R2 = Ring(32003, 3)
 Q1 = Ring(0, 2)
+
+
+def matrix_rank(rows, ring):
+    """Rank of a dense matrix, given as a list of rows, through sparse_rank."""
+    return sparse_rank([dict(enumerate(row)) for row in rows], ring)
 
 
 # --- ring construction -------------------------------------------------------
@@ -188,17 +193,23 @@ def test_strand_dimension_and_basis():
 def test_graded_map_validate():
     x0 = parse_polynomial(R2, "x0")
     target = GradedFreeModule(R2, (0,))
-    good = GradedMap.from_columns(GradedFreeModule(R2, (1,)), target, [[x0]])
+    good = GradedMap.from_columns(GradedFreeModule(R2, (1,)), target, [{0: x0}])
     good.validate()
-    bad = GradedMap.from_columns(GradedFreeModule(R2, (2,)), target, [[x0]])
+    bad = GradedMap.from_columns(GradedFreeModule(R2, (2,)), target, [{0: x0}])
     with pytest.raises(AlgebraError):
         bad.validate()
+    with pytest.raises(AlgebraError, match="2 columns, source rank 1"):
+        GradedMap.from_columns(GradedFreeModule(R2, (1,)), target, [{0: x0}, {}])
+    with pytest.raises(AlgebraError, match="column 0 has row 1, target rank 1"):
+        GradedMap.from_columns(GradedFreeModule(R2, (1,)), target, [{1: x0}])
+    with pytest.raises(AlgebraError, match="column 0 has row -1, target rank 1"):
+        GradedMap.from_columns(GradedFreeModule(R2, (1,)), target, [{-1: x0}])
 
 
 def test_strand_matrix_multiplication_by_variable():
     x0 = parse_polynomial(Q1, "x0")
     phi = GradedMap.from_columns(
-        GradedFreeModule(Q1, (1,)), GradedFreeModule(Q1, (0,)), [[x0]]
+        GradedFreeModule(Q1, (1,)), GradedFreeModule(Q1, (0,)), [{0: x0}]
     )
     strand = phi.strand_matrix(2)  # degree-2 part of S(-1) -> S on P^1
     assert strand.shape == (3, 2)

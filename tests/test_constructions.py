@@ -24,6 +24,7 @@ from shfc.constructions import (
     twist,
 )
 from shfc.moduleio import dump_module, presentation_from_dict
+from shfc.modules import GradedMap
 from shfc.resolutions import (
     Presentation,
     betti_table,
@@ -343,4 +344,45 @@ def test_omega_module_bytes_are_pinned(char, n, p, digest):
     # inputs from; Omega^p comes out of a syzygy computation, so a change in
     # the order or the reduction of syzygies shows here
     text = dump_module(omega(Ring(char, n + 1), p))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def scaled(pres, c):
+    """The same module with every relation column scaled by the unit c."""
+    cols = [{i: p.scale(c) for i, p in col.items()} for col in pres.rels.cols]
+    return Presentation(pres.gens, GradedMap.from_columns(pres.rels.source, pres.gens, cols))
+
+
+CONSTRUCTIONS = {
+    "tensor": lambda e, f: tensor(e, f),
+    "sym2": lambda e, f: sym_power(f, 2),
+    "qpow3": lambda e, f: q_power_pullback(f, 3),
+    "sum": lambda e, f: direct_sum(e, f),
+    "twist": lambda e, f: twist(f, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "char, name, digest",
+    [
+        (32003, "tensor", "ff26ad059ccf8cc162ac8c3bb7c2219aa784c713c697f465693f86756d22e176"),
+        (32003, "sym2", "f9aac79640ce7f111d54302cf1e0b2a5c2c5df0c1e02f947dbd0a3c82084b8b4"),
+        (32003, "qpow3", "ba4d09c05836af2a55c193814f9a8e5b7feaa0537368c16032e087e809ffecb8"),
+        (32003, "sum", "53a963a4a285340ebd70b6664d7150101dc059031de4efebd761d1ab150804f6"),
+        (32003, "twist", "1195b25de446a8bafe6407fe0bc320f6f4f9d26921a88fe4e7ab1d1b33a6c85b"),
+        (0, "tensor", "2c6a628ac4c0b183426ab22cd2e574f3b5e7cc75bbe524e576de39eaee9dfb53"),
+        (0, "sym2", "64501a5e957842d97e548290d28bbc0cb3d45618e86267e74f3ea801b2e8dc70"),
+        (0, "qpow3", "4ee0ab78035168af103fc811bfe0e0ebc1378b8520406e05916978f9d08eb2bb"),
+        (0, "sum", "b9262f1fc59c6c6f3390646b50cb7866779b3eebad714688381ccaea68112d52"),
+        (0, "twist", "a1f3e10545255caefcdedc62c2aea1db790fd9728ba0c6f04dcce02008aa9441"),
+    ],
+)
+def test_construction_bytes_are_pinned(char, name, digest):
+    # E = Omega^1 on P^3 and F = E(1) with its relations halved, so over Q
+    # every column of F carries denominators that dump_module must clear;
+    # the zero entries of the sums and products are written as "0"
+    ring = Ring(char, 4)
+    e = omega(ring, 1)
+    f = twist(scaled(e, ring.cinv(ring.coeff(2))), 1)
+    text = dump_module(CONSTRUCTIONS[name](e, f))
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -148,6 +148,11 @@ def test_parse_validation_errors():
         )
     with pytest.raises(ParseError, match="module file"):
         parse_module(json.dumps([1, 2]))
+    with pytest.raises(ParseError, match="relations must be a list"):
+        presentation_from_dict(dict(S_P1, relations=None))
+    with pytest.raises(ParseError) as err:
+        presentation_from_dict(dict(S_P1, relations=[["x0^"]]))
+    assert str(err.value) == "relations[0][0]: expected an exponent after '^' (column 4)"
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +196,7 @@ def test_round_trip_clears_denominators_char_zero():
     half_x0 = parse_polynomial(ring, "x0").scale(Fraction(1, 2))
     third_x1 = parse_polynomial(ring, "x1").scale(Fraction(1, 3))
     source = GradedFreeModule(ring, (1,))
-    rels = GradedMap.from_columns(source, gens, [[half_x0, third_x1]])
+    rels = GradedMap.from_columns(source, gens, [{0: half_x0, 1: third_x1}])
     p = Presentation(gens, rels)
     data = presentation_to_dict(p)
     assert data["relations"] == [["3*x0", "2*x1"]]
@@ -456,6 +461,10 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["level", "--module", str(bad)]) == 2
+    # a malformed relations field is a parse error, never exit 1 (failed verification)
+    for relations in (5, None):
+        path = write_module(tmp_path, "rels.json", dict(S_P1, relations=relations))
+        assert main(["betti", "--module", path]) == 2
     capsys.readouterr()
 
 

@@ -1,16 +1,18 @@
 """Property-based checks of structural laws: strand functoriality, strand
-ranks against a dense reference elimination, Serre duality,
+ranks against a dense reference elimination, the sparse GradedMap
+operations against dense ones on the full matrix, Serre duality,
 twist/sum/tensor compatibilities, pullback composition, and serialization
 round trips over randomized inputs.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_rank, line_bundle_h
+from oracles import dense_compose, dense_dual, dense_rank, dense_strand, line_bundle_h
 
 from shfc.cohomology import sheaf_cohomology_dim
-from shfc.constructions import direct_sum, q_power_pullback, tensor, twist
+from shfc.constructions import direct_sum, koszul_differential, q_power_pullback, tensor, twist
 from shfc.moduleio import dump_module, parse_module
 from shfc.modules import GradedFreeModule, GradedMap
 from shfc.resolutions import Presentation
@@ -36,7 +38,7 @@ def linear_map(ring, source_degrees, target_degrees, texts):
     source = GradedFreeModule(ring, source_degrees)
     target = GradedFreeModule(ring, target_degrees)
     cols = [
-        [parse_polynomial(ring, texts[j][i]) for i in range(target.rank)]
+        {i: parse_polynomial(ring, texts[j][i]) for i in range(target.rank)}
         for j in range(source.rank)
     ]
     return GradedMap.from_columns(source, target, cols)
@@ -90,28 +92,46 @@ def test_strand_matrix_is_functorial(psi_texts, phi_texts, ring, d):
     assert lhs == rhs
 
 
-@st.composite
-def graded_maps(draw):
-    """A random degree-0 map between small free modules over F_32003, F_2 or
-    Q, each entry a random homogeneous polynomial of the right degree."""
-    ring = draw(st.sampled_from([R_P2, F2_P2, Q_P2]))
-    target = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3))
-    source = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+def draw_map(draw, ring, source, target):
+    """A random degree-0 map between the free modules with these degrees,
+    each entry a random homogeneous polynomial of the right degree."""
     cols = []
     for a in source:
-        col = []
-        for b in target:
+        col = {}
+        for i, b in enumerate(target):
             monos = monomials_of_degree(ring.num_vars, a - b)
             terms = {}
             if monos:
                 terms = draw(
                     st.dictionaries(st.sampled_from(monos), st.integers(-3, 3), max_size=4)
                 )
-            col.append(Polynomial(ring, terms))
+            col[i] = Polynomial(ring, terms)
         cols.append(col)
     return GradedMap.from_columns(
         GradedFreeModule(ring, tuple(source)), GradedFreeModule(ring, tuple(target)), cols
     )
+
+
+MAP_RINGS = [R_P2, F2_P2, Q_P2]
+
+
+@st.composite
+def graded_maps(draw):
+    """A random map between small free modules over F_32003, F_2 or Q."""
+    ring = draw(st.sampled_from(MAP_RINGS))
+    target = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3))
+    source = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    return draw_map(draw, ring, source, target)
+
+
+@st.composite
+def composable_maps(draw):
+    """phi: S -> T and psi: U -> S over one ring, S possibly of rank 0."""
+    ring = draw(st.sampled_from(MAP_RINGS))
+    t = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3))
+    s = draw(st.lists(st.integers(0, 1), min_size=0, max_size=3))
+    u = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    return draw_map(draw, ring, s, t), draw_map(draw, ring, u, s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,6 +142,49 @@ def test_strand_rank_matches_dense_reference(phi, d):
     assert strand.shape == (phi.target.strand_dimension(d), phi.source.strand_dimension(d))
     assert all(value for vector in strand.columns for value in vector.values())
     assert strand.rank() == dense_rank(dense, phi.ring.characteristic)
+
+
+def stores_no_zero(phi):
+    return all(p.terms for col in phi.cols for p in col.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(composable_maps(), st.integers(min_value=-1, max_value=4), st.integers(-2, 2))
+def test_sparse_map_operations_match_dense_reference(maps, d, e):
+    phi, psi = maps
+    composite = phi.compose(psi)
+    dual = phi.dual()
+    twisted = phi.twisted(e)
+    expected = dense_compose(phi, psi)
+    assert composite.matrix == expected
+    assert composite.is_zero() == all(p.is_zero() for row in expected for p in row)
+    assert dual.matrix == dense_dual(phi)
+    assert (dual.source.degrees, dual.target.degrees) == (
+        tuple(-a for a in phi.target.degrees),
+        tuple(-a for a in phi.source.degrees),
+    )
+    assert twisted.matrix == phi.matrix
+    assert twisted.source.degrees == tuple(a - e for a in phi.source.degrees)
+    assert twisted.target.degrees == tuple(a - e for a in phi.target.degrees)
+    char = phi.ring.characteristic
+    for m in (phi, psi, composite, dual, twisted):
+        assert stores_no_zero(m)
+        m.validate()
+        assert m.strand_matrix(d).rank() == dense_rank(dense_strand(m, d), char)
+
+
+@pytest.mark.parametrize("ring", [R_P2, Q_P2, Ring(2, 4), Ring(0, 4)])
+def test_koszul_square_cancels_to_an_empty_map(ring):
+    # every entry of d o d is a sum of two products that cancel
+    for m in range(2, ring.num_vars + 1):
+        outer = koszul_differential(ring, m - 1).twisted(1)
+        inner = koszul_differential(ring, m)
+        square = outer.compose(inner)
+        assert square.is_zero()
+        assert square.cols == [{}] * inner.source.rank
+        expected = dense_compose(outer, inner)
+        assert square.matrix == expected
+        assert all(p.is_zero() for row in expected for p in row)
 
 
 # --------------------------------------------------------------------------
@@ -217,7 +280,7 @@ def test_q_power_composes(a, b):
         GradedMap.from_columns(
             GradedFreeModule(R_P2, (2,)),
             GradedFreeModule(R_P2, (0,)),
-            [[parse_polynomial(R_P2, "x0*x2 - x1^2")]],
+            [{0: parse_polynomial(R_P2, "x0*x2 - x1^2")}],
         ),
     )
     nested = q_power_pullback(q_power_pullback(m, a), b)
@@ -244,15 +307,10 @@ def test_q_power_composes(a, b):
 def test_round_trip_identity_on_matrix(cols, char):
     ring = Ring(char, 3)
     gens = GradedFreeModule(ring, (0, 0))
-    parsed_cols = [[parse_polynomial(ring, s) for s in col] for col in cols]
-    keep = [c for c in parsed_cols if any(not p.is_zero() for p in c)]
+    parsed_cols = [{i: parse_polynomial(ring, s) for i, s in enumerate(col)} for col in cols]
+    keep = [c for c in parsed_cols if any(not p.is_zero() for p in c.values())]
     source = GradedFreeModule(ring, (1,) * len(keep))
-    rels = (
-        GradedMap.from_columns(source, gens, keep)
-        if keep
-        else GradedMap.zero(source, gens)
-    )
-    p = Presentation(gens, rels)
+    p = Presentation(gens, GradedMap.from_columns(source, gens, keep))
     back = parse_module(dump_module(p))
     assert back.gens.degrees == p.gens.degrees
     assert back.rels.matrix == p.rels.matrix
