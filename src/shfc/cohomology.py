@@ -127,13 +127,18 @@ def line_bundle_oracle(n, twists, i, d):
 
 
 def euler_characteristic_line(n, m):
-    """chi(O(m)) on P^n as the exact integer polynomial value."""
-    num = 1
-    for j in range(1, n + 1):
-        num *= m + j
-    den = 1
-    for j in range(1, n + 1):
-        den *= j
-    if num % den:
-        raise InternalError(f"chi(O({m})) on P^{n} is not an integer")
-    return num // den
+    """chi(O(m)) on P^n, exact: h^0 + (-1)^n h^n, since the other h^i vanish."""
+    return binom(n + m, n) + (-1) ** n * binom(-m - 1, n)
+
+
+def euler_characteristic(pres, d):
+    """chi(F(d)) for F the sheafification of pres, exact: the alternating sum
+    of chi(O(d - a)) over the degrees a of each term of the cached minimal
+    resolution."""
+    res, _ = minimal_free_resolution(pres)
+    n = pres.ring.dim
+    return sum(
+        (-1) ** i * euler_characteristic_line(n, d - a)
+        for i, mod in enumerate(res.modules)
+        for a in mod.degrees
+    )

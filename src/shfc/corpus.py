@@ -46,7 +46,7 @@ def _max_degree(pres):
     return max((abs(d) for d in degrees), default=0)
 
 
-def draw_locally_free(ring, rng, cap=DEGREE_CAP):
+def draw_locally_free(ring, rng):
     """Draw one corpus module under the degree cap; q-power draws whose
     scaled degrees exceed the cap are redrawn deterministically."""
     while True:
@@ -56,5 +56,5 @@ def draw_locally_free(ring, rng, cap=DEGREE_CAP):
             pres, desc = q_power_pullback(base, q), f"qpow({desc},{q})"
         else:
             pres, desc = _draw_base(ring, rng)
-        if _max_degree(pres) <= cap:
+        if _max_degree(pres) <= DEGREE_CAP:
             return pres, desc

@@ -224,25 +224,17 @@ def _buchberger(elements, ring, degrees, truncate=False):
 
 
 def _reduce_basis(basis, ring):
-    """Minimalize and fully interreduce a Groebner basis; canonical output."""
-    if not basis:
-        return []
-    order = sorted(range(len(basis)), key=lambda i: _term_key(_lead(basis[i])))
-    kept = []
-    kept_leads = []
-    for i in order:
-        lt = _lead(basis[i])
-        pos, mono = lt
-        if any(p == pos and _mono_divides(m, mono) for (p, m) in kept_leads):
-            continue
-        kept.append(dict(basis[i]))
-        kept_leads.append(lt)
-    for idx in range(len(kept)):
-        others = kept[:idx] + kept[idx + 1 :]
-        leads = kept_leads[:idx] + kept_leads[idx + 1 :]
-        kept[idx] = _normal_form(kept[idx], others, leads, ring)
-    pairs = sorted(zip(kept_leads, kept), key=lambda t: _term_key(t[0]))
-    return [f for _, f in pairs]
+    """Sort a `_buchberger` basis by lead and fully interreduce it; canonical
+    output. Nothing needs dropping: each element entered as a normal form in
+    nondecreasing degree, so no lead divides another. Interreduction never
+    touches a lead, so the list stays sorted."""
+    basis = sorted(basis, key=lambda f: _term_key(_lead(f)))
+    leads = [_lead(f) for f in basis]
+    for idx in range(len(basis)):
+        others = basis[:idx] + basis[idx + 1 :]
+        other_leads = leads[:idx] + leads[idx + 1 :]
+        basis[idx] = _normal_form(basis[idx], others, other_leads, ring)
+    return basis
 
 
 def _columns_to_elements(phi):

@@ -15,16 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cohomology import sheaf_cohomology_dim
+from .cohomology import euler_characteristic, euler_characteristic_line, sheaf_cohomology_dim
 from .constructions import koszul_kernel, q_power_pullback, sym_power, tensor
 from .modules import sparse_rank
-from .resolutions import (
-    MINUS_INFINITY,
-    betti_table,
-    evaluate_hilbert_polynomial,
-    hilbert_polynomial,
-    module_regularity,
-)
+from .resolutions import MINUS_INFINITY, betti_table, module_regularity
 from .rings import AlgebraError, InternalError
 from .rng import Lcg
 
@@ -68,17 +62,19 @@ def sheaf_regularity(pres):
     the sheafification of pres.
 
     Returns the minus-infinity sentinel when F has finite support (zero
-    sheaf included): there all higher cohomology vanishes at every twist, so
-    every m qualifies and no smallest one exists. Otherwise the criterion
-    holds on an up-interval of m (an m-regular sheaf is (m+1)-regular), is
-    satisfied at the module regularity, and fails for m << 0 because the
-    Hilbert polynomial is unbounded while h^0 of very negative twists is
-    not; the search decrements from the module regularity.
+    sheaf included), which is when chi(F(d)) is constant in d: there all
+    higher cohomology vanishes at every twist, so every m qualifies and no
+    smallest one exists. Otherwise the criterion holds on an up-interval of
+    m (an m-regular sheaf is (m+1)-regular), is satisfied at the module
+    regularity, and fails for m << 0 because chi(F(d)) is unbounded while
+    h^0 of very negative twists is not; the search decrements from the
+    module regularity.
     """
-    poly = hilbert_polynomial(pres)
-    if len(poly) <= 1:
-        return MINUS_INFINITY
     n = pres.ring.dim
+    # chi(F(d)) is a polynomial in d of degree <= n, so taking one value on
+    # the n + 1 points d = 0..n means it is constant
+    if len({euler_characteristic(pres, d) for d in range(n + 1)}) == 1:
+        return MINUS_INFINITY
 
     def regular(m):
         return all(sheaf_cohomology_dim(pres, i, m - i) == 0 for i in range(1, n + 1))
@@ -93,23 +89,27 @@ def sheaf_regularity(pres):
 
 # --- local freeness gate ----------------------------------------------------
 
+PROBE_SAMPLES = 20
+PROBE_SEED = 101
+
+
 def _corank_at_point(pres, point):
     cols = [{i: p.evaluate(point) for i, p in col.items()} for col in pres.rels.cols]
     return pres.gens.rank - sparse_rank(cols, pres.ring)
 
 
-def locally_free_probe(pres, samples=20, seed=101):
-    """Probabilistic gate: evaluate the relation matrix at `samples` random
-    points (of F_p^{n+1} minus 0 in characteristic p, random small integer
-    points in characteristic 0) and report whether the corank is constant.
-    Constant corank is evidence of local freeness away from the irrelevant
-    point, not a certificate.
+def locally_free_probe(pres):
+    """Probabilistic gate: evaluate the relation matrix at PROBE_SAMPLES
+    seeded random points (of F_p^{n+1} minus 0 in characteristic p, random
+    small integer points in characteristic 0) and report whether the corank
+    is constant. Constant corank is evidence of local freeness away from the
+    irrelevant point, not a certificate.
     """
     ring = pres.ring
-    rng = Lcg(seed)
+    rng = Lcg(PROBE_SEED)
     p = ring.characteristic
     coranks = set()
-    for _ in range(samples):
+    for _ in range(PROBE_SAMPLES):
         while True:
             if p:
                 point = [rng.randint(0, p - 1) for _ in range(ring.num_vars)]
@@ -132,11 +132,11 @@ class PhiCertificate:
         return {"bound": self.bound, "witnesses": [dict(w) for w in self.witnesses]}
 
 
-def phi_certificate(pres, samples=20, seed=101):
+def phi_certificate(pres):
     """Certified upper bound for the Frobenius amplitude of a locally free
     sheaf E on P^n: phi(E) <= level(E(-n)). Refuses input that fails the
     local-freeness gate, since the bound is only stated for bundles."""
-    if not locally_free_probe(pres, samples=samples, seed=seed):
+    if not locally_free_probe(pres):
         raise LocalFreenessError(
             "relation matrix has non-constant corank at sampled points; "
             "refusing to certify a Frobenius-amplitude bound"
@@ -196,10 +196,9 @@ def beilinson_euler_mismatch(table, pres, d):
 
         sum_{a,b} (-1)^{a+b} e_{ab} chi(O(a+d)) - chi(E(d)),
 
-    which must be 0. chi(E(d)) is the Hilbert polynomial of the module at d;
-    chi(O(m)) = C(n+m, n) as a polynomial in m (signed binomial)."""
-    from .cohomology import euler_characteristic_line
-
+    which must be 0. Both chi are exact integers: chi(E(d)) from the
+    resolution of pres (cohomology.euler_characteristic) and chi(O(m)) from
+    the two binomials h^0 and h^n."""
     n = table.n
     total = 0
     for a in range(-n, 1):
@@ -208,8 +207,7 @@ def beilinson_euler_mismatch(table, pres, d):
             if e:
                 sign = -1 if (a + b) % 2 else 1
                 total += sign * e * euler_characteristic_line(n, a + d)
-    chi = evaluate_hilbert_polynomial(hilbert_polynomial(pres), d)
-    return total - chi
+    return total - euler_characteristic(pres, d)
 
 
 # --- amplitude probes ---------------------------------------------------------

@@ -22,6 +22,11 @@ from .resolutions import Presentation
 from .rings import ParseError, Ring, parse_polynomial
 
 
+def _is_int(x):
+    # JSON true and false load as bool, a subclass of int; they are not integers
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def presentation_from_dict(data):
     if not isinstance(data, dict):
         raise ParseError("module file must be a JSON object")
@@ -33,13 +38,13 @@ def presentation_from_dict(data):
         relations = data.get("relations", [])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"module file missing field: {exc}") from None
-    if not isinstance(char, int) or not isinstance(num_vars, int):
+    if not _is_int(char) or not _is_int(num_vars):
         raise ParseError("ring char and vars must be integers")
     try:
         ring = Ring(char, num_vars)
     except Exception as exc:
         raise ParseError(f"bad ring: {exc}") from None
-    if not isinstance(gen_degrees, list) or not all(isinstance(a, int) for a in gen_degrees):
+    if not isinstance(gen_degrees, list) or not all(_is_int(a) for a in gen_degrees):
         raise ParseError("generators must be a list of integers")
     gens = GradedFreeModule(ring, tuple(gen_degrees))
 

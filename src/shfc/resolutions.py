@@ -180,9 +180,9 @@ def _binomial_poly(n, a):
 
 
 def hilbert_polynomial(pres):
-    """Coefficient tuple (ascending) of the Hilbert polynomial, exact rationals."""
-    if "hilbert_poly" in pres.cache:
-        return pres.cache["hilbert_poly"]
+    """Coefficient tuple (ascending) of the Hilbert polynomial, exact
+    rationals. For its values at integers, cohomology.euler_characteristic
+    is the integer path."""
     res, _ = minimal_free_resolution(pres)
     n = pres.ring.dim
     coeffs = [Fraction(0)] * (n + 1)
@@ -193,18 +193,7 @@ def hilbert_polynomial(pres):
                 coeffs[k] += sign * c
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    out = tuple(coeffs)
-    pres.cache["hilbert_poly"] = out
-    return out
-
-
-def evaluate_hilbert_polynomial(coeffs, d):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * d + c
-    if acc.denominator != 1:
-        raise AlgebraError(f"Hilbert polynomial value at {d} is not an integer: {acc}")
-    return int(acc)
+    return tuple(coeffs)
 
 
 def default_verification_window(pres):

@@ -5,7 +5,9 @@ binomial formulas, implemented separately so that agreement with the
 resolution/duality pipeline is meaningful evidence. The two oracles
 cross-validate each other (and themselves) through Serre duality and
 Euler-characteristic recursions; `test_oracles_are_self_consistent` in
-test_cohomology.py runs those checks.
+test_cohomology.py runs those checks. `hilbert_polynomial_value` evaluates
+the engine's Fraction Hilbert polynomial exactly, as a reference for its
+integer Euler characteristics.
 
 The dense row eliminations are the reference for the engine's sparse rank
 kernel: plain column-by-column Gaussian elimination on full rows, mod p or
@@ -78,6 +80,16 @@ def chi_line(n, m):
     for j in range(1, n + 1):
         num *= m + j
     return num // math.factorial(n)
+
+
+def hilbert_polynomial_value(coeffs, d):
+    """Exact value at the integer d of an ascending coefficient tuple of
+    Fractions (the form resolutions.hilbert_polynomial returns), by Horner's
+    rule. A Fraction; it equals an int only if its denominator is 1."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * d + c
+    return acc
 
 
 def chi_koszul_kernel(n, m, d):

@@ -5,23 +5,34 @@ consequences that reduce to Hilbert-function arithmetic.
 
 import pytest
 
-from oracles import binomial, bott_h, chi_line, chi_omega, line_bundle_h
+from oracles import (
+    binomial,
+    bott_h,
+    chi_line,
+    chi_omega,
+    hilbert_polynomial_value,
+    line_bundle_h,
+)
 
 from shfc.cohomology import (
     cohomology_table,
+    euler_characteristic,
     euler_characteristic_line,
     ext_strand_dim,
     line_bundle_oracle,
     sheaf_cohomology_dim,
 )
+from shfc.corpus import draw_locally_free
+from shfc.invariants import sheaf_regularity
 from shfc.moduleio import presentation_from_dict
 from shfc.resolutions import (
+    MINUS_INFINITY,
     Presentation,
-    evaluate_hilbert_polynomial,
     hilbert_function,
     hilbert_polynomial,
 )
 from shfc.rings import AlgebraError, InternalError, Ring
+from shfc.rng import Lcg
 
 
 def pres(char, nvars, generators, relations):
@@ -174,7 +185,43 @@ def test_euler_characteristic_equals_hilbert_polynomial():
         n = p.ring.dim
         for d in range(-5, 6):
             chi = sum((-1) ** i * sheaf_cohomology_dim(p, i, d) for i in range(n + 1))
-            assert chi == evaluate_hilbert_polynomial(coeffs, d)
+            assert chi == euler_characteristic(p, d) == hilbert_polynomial_value(coeffs, d)
+
+
+def finite_support_modules(ring):
+    """The zero module, a point (S / (x1, ..., xn)) and an Artinian module
+    (S / (x0^2, x1, ..., xn), of length 2), each with its constant chi."""
+    char, nvars = ring.characteristic, ring.num_vars
+    rest = [[f"x{k}"] for k in range(1, nvars)]
+    return [
+        ("zero", pres(char, nvars, [0], [["1"]]), 0),
+        ("point", pres(char, nvars, [0], rest), 1),
+        ("artinian", pres(char, nvars, [0], [["x0^2"]] + rest), 0),
+    ]
+
+
+@pytest.mark.parametrize("char", [32003, 2, 0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integer_euler_characteristic_matches_cohomology_and_hilbert_polynomial(char, n):
+    ring = Ring(char, n + 1)
+    rng = Lcg(500 + 10 * n + (char % 7))
+    draws = [draw_locally_free(ring, rng) for _ in range(4)]
+    finite = finite_support_modules(ring)
+    for desc, p, chi0 in finite:
+        assert all(euler_characteristic(p, d) == chi0 for d in range(-n - 3, n + 4)), desc
+        # finite support: every twist qualifies, so no smallest one exists
+        assert sheaf_regularity(p) == MINUS_INFINITY, desc
+    for p, desc in draws:
+        # a nonzero vector bundle: chi(F(d)) has degree n, so reg is finite
+        assert sheaf_regularity(p) > MINUS_INFINITY, desc
+    for p, desc in draws + [(p, desc) for desc, p, _ in finite]:
+        coeffs = hilbert_polynomial(p)
+        for d in range(-n - 3, n + 4):
+            chi = euler_characteristic(p, d)
+            h = [sheaf_cohomology_dim(p, i, d) for i in range(n + 1)]
+            assert type(chi) is int
+            assert chi == sum((-1) ** i * v for i, v in enumerate(h)), (desc, d)
+            assert chi == hilbert_polynomial_value(coeffs, d), (desc, d)
 
 
 # --------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from shfc.resolutions import (
     module_regularity,
 )
 from shfc.rings import AlgebraError, Ring
+from shfc.suites import SUITES
 
 R_P1 = Ring(32003, 2)
 R_P2 = Ring(32003, 3)
@@ -386,3 +387,30 @@ def test_construction_bytes_are_pinned(char, name, digest):
     f = twist(scaled(e, ring.cinv(ring.coeff(2))), 1)
     text = dump_module(CONSTRUCTIONS[name](e, f))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "suite, dim, char, kwargs, digest",
+    [
+        ("oracle", 2, 32003, {}, "b5ba868416a84f493edd29d32d7f69561833e878756cfd7fc1a8d9ecd80e1284"),
+        ("oracle", 3, 0, {"count": 30}, "42a4b885ac6f7598b7d994fd6ce1b8c3903ff6750d0f2ddfa6501b729e1fade3"),
+        ("subadditivity", 2, 32003, {}, "29a5351494699b4f69faa790c5475a29382764948aed683a07a0f9386bdc484b"),
+        ("subadditivity", 3, 0, {"count": 6}, "d58c60c401b48a1abff93c115e1e8d3f44694b1a875234741683efe2ef890f63"),
+        ("regularity-tensor", 2, 32003, {}, "41c91934dccf1ca46058495f7db821af3619e1f78ce63a74b5564f208ab91033"),
+        ("regularity-tensor", 1, 0, {"count": 30}, "2ddef466324521f759c75db8897f332c65d8559b6a134a05eed88ebb241637c5"),
+        ("regularity-tensor", 3, 2, {"count": 6}, "25c89279620a65dfde3d3f02dac698bc0a27ae925c23ed45849e82e3b28f6008"),
+        ("key-theorem", 2, 2, {}, "7c75738ba199d64558941b6837be0e63f4dc255be52abfd68764c315c77676f6"),
+        ("key-theorem", 1, 3, {}, "573fcbe1532b1cc248e65bbbc009d9782cd92f9e81768021d5334721507bbf86"),
+        ("bott", 3, 0, {}, "7f2594645c8940284f010ee3ae9cc2381703b9ef117400b98d30021f39feab54"),
+        ("bott", 2, 2, {}, "ff8b95bed784e5cc971f19fad60a7a37134fc88ec54e969e84a69587bba08827"),
+        ("beilinson", 2, 32003, {}, "5d0ba99e34cd3d39618e911e971ed3e2deb7536f0b518db256e5a3df9b82f255"),
+        ("beilinson", 1, 0, {"count": 10}, "c315508ad780e667362d6e4eedb2a371e3fe71d35264866e232e1d8419d03d00"),
+        ("beilinson", 3, 2, {"count": 3}, "9b2bd5b64e94fb673448874fdb903311e218893e62c0f46a49075fd560c1b43e"),
+    ],
+)
+def test_verify_report_bytes_are_pinned(suite, dim, char, kwargs, digest):
+    # the bytes `shfc verify` prints, over F_p and Q on dims 1-3; the oracle,
+    # regularity-tensor and beilinson reports carry the Euler checks and the
+    # finite-support test of sheaf_regularity
+    report = SUITES[suite](dim=dim, char=char, seed=7, **kwargs)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

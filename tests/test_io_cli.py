@@ -11,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
@@ -39,6 +41,13 @@ def write_module(tmp_path, name, data):
 
 O_MINUS1_P2 = {"ring": {"char": 32003, "vars": 3}, "generators": [1], "relations": []}
 S_P1 = {"ring": {"char": 0, "vars": 2}, "generators": [0], "relations": []}
+
+# JSON true and false load as bool, which Python counts as an int
+BOOLEAN_MODULES = [
+    (dict(S_P1, ring={"char": False, "vars": 2}), "ring char and vars must be integers"),
+    (dict(S_P1, ring={"char": 0, "vars": True}), "ring char and vars must be integers"),
+    (dict(S_P1, generators=[True, False]), "generators must be a list of integers"),
+]
 
 
 # --------------------------------------------------------------------------
@@ -153,6 +162,89 @@ def test_parse_validation_errors():
     with pytest.raises(ParseError) as err:
         presentation_from_dict(dict(S_P1, relations=[["x0^"]]))
     assert str(err.value) == "relations[0][0]: expected an exponent after '^' (column 4)"
+    for data, message in BOOLEAN_MODULES:
+        with pytest.raises(ParseError) as err:
+            parse_module(json.dumps(data))
+        assert str(err.value) == message
+
+
+# values of every JSON type, and polynomial strings near the valid ones
+ILL_TYPED = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.integers(-2, 5),
+    st.text(alphabet="x0123^*+-/ ", max_size=6),
+    st.sampled_from(["x0", "x1^2", "x0*x1 - x1^2", "2*x0", "1", "0", "x4"]),
+    st.lists(st.integers(-2, 3), max_size=2),
+    st.lists(st.lists(st.booleans(), max_size=2), max_size=2),
+)
+
+
+def _holds(node, key):
+    if isinstance(node, dict):
+        return key in node
+    return isinstance(node, list) and isinstance(key, int) and key < len(node)
+
+
+@st.composite
+def module_dicts(draw):
+    """A valid module file on 2 to 4 variables, then up to two of its
+    fields (ring, char, vars, generators, a degree, relations, a column, an
+    entry) replaced by ILL_TYPED values."""
+    nvars = draw(st.integers(2, 4))
+    gens = draw(st.lists(st.integers(-2, 2), max_size=3))
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        top = max(gens, default=0) + draw(st.integers(0, 2))
+        col = []
+        for a in gens:
+            if draw(st.booleans()):
+                col.append("0")
+                continue
+            exps = [0] * nvars
+            for _ in range(top - a):
+                exps[draw(st.integers(0, nvars - 1))] += 1
+            factors = [str(draw(st.integers(1, 3)))] + [f"x{k}^{e}" for k, e in enumerate(exps) if e]
+            col.append("*".join(factors))
+        relations.append(col)
+    data = {
+        "ring": {"char": draw(st.sampled_from([0, 2, 3, 32003])), "vars": nvars},
+        "generators": gens,
+        "relations": relations,
+    }
+    paths = [("ring",), ("ring", "char"), ("ring", "vars"), ("generators",), ("relations",)]
+    paths += [("generators", i) for i in range(len(gens))]
+    paths += [("relations", j) for j in range(len(relations))]
+    paths += [("relations", j, i) for j in range(len(relations)) for i in range(len(gens))]
+    for path in draw(st.lists(st.sampled_from(paths), max_size=2, unique=True)):
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key] if _holds(parent, key) else None
+        if _holds(parent, path[-1]):
+            parent[path[-1]] = draw(ILL_TYPED)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(module_dicts())
+@example(BOOLEAN_MODULES[0][0])
+@example(BOOLEAN_MODULES[1][0])
+@example(BOOLEAN_MODULES[2][0])
+def test_parse_module_fuzz_refuses_or_round_trips(data):
+    # every module file either is refused with a ParseError or gives a
+    # presentation whose dump parses back to the same dict, with integer
+    # char, vars and degrees
+    try:
+        p = parse_module(json.dumps(data))
+    except ParseError:
+        return
+    text = dump_module(p)
+    written = json.loads(text)
+    assert type(written["ring"]["char"]) is int
+    assert type(written["ring"]["vars"]) is int
+    assert all(type(a) is int for a in written["generators"])
+    assert presentation_to_dict(parse_module(text)) == written
 
 
 # --------------------------------------------------------------------------
@@ -464,6 +556,9 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     # a malformed relations field is a parse error, never exit 1 (failed verification)
     for relations in (5, None):
         path = write_module(tmp_path, "rels.json", dict(S_P1, relations=relations))
+        assert main(["betti", "--module", path]) == 2
+    for data, _ in BOOLEAN_MODULES:
+        path = write_module(tmp_path, "bool.json", data)
         assert main(["betti", "--module", path]) == 2
     capsys.readouterr()
 

@@ -13,13 +13,13 @@ from fractions import Fraction
 
 import pytest
 
+from shfc.cohomology import euler_characteristic
 from shfc.moduleio import presentation_from_dict
 from shfc.modules import GradedMap, binom
 from shfc.resolutions import (
     MINUS_INFINITY,
     Presentation,
     betti_table,
-    evaluate_hilbert_polynomial,
     hilbert_function,
     hilbert_polynomial,
     minimal_free_resolution,
@@ -136,7 +136,7 @@ def test_hilbert_function_point():
     for d in range(0, 6):
         assert hilbert_function(p, d) == 1
     assert hilbert_polynomial(p) == (Fraction(1),)
-    assert evaluate_hilbert_polynomial(hilbert_polynomial(p), 10) == 1
+    assert euler_characteristic(p, 10) == 1
     assert verify_strand_exactness(p)
 
 
@@ -149,15 +149,9 @@ def test_hilbert_function_conic():
 
 def test_hilbert_function_matches_polynomial_beyond_regularity():
     p = pres(32003, 3, [0], [["x0*x1"], ["x1*x2^2"]])
-    coeffs = hilbert_polynomial(p)
     reg = module_regularity(betti_table(p))
     for d in range(reg + 1, reg + 6):
-        assert hilbert_function(p, d) == evaluate_hilbert_polynomial(coeffs, d)
-
-
-def test_evaluate_hilbert_polynomial_rejects_non_integer():
-    with pytest.raises(AlgebraError):
-        evaluate_hilbert_polynomial((Fraction(1, 2),), 3)
+        assert hilbert_function(p, d) == euler_characteristic(p, d)
 
 
 def test_residue_field_hilbert_function():
