@@ -28,11 +28,19 @@ S-pairs in degree order, so a column of degree d meets a d-truncated
 Groebner basis of the columns kept before it; minimal generators are the
 columns whose normal form there is nonzero, and the loop stops once no
 column waits. The two other entry points run it to completion.
+
+Only a lead in the same position can divide a term, so the loop keeps its
+leads indexed by position, by_pos = {position: [(index, lead monomial),
+...]}, each list in index order. Reduction, pair making and the chain
+criterion walk only the list of the position at hand; each reduction step
+still takes the lowest-index lead that divides the term.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
+from operator import add, le, sub
 
 from .modules import GradedFreeModule, GradedMap
 from .rings import InternalError, Polynomial
@@ -52,19 +60,19 @@ def _lead(f):
 
 
 def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _mono_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mono_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _make_monic(f, ring):
@@ -102,8 +110,19 @@ def _spoly(f, g, ring):
     return out
 
 
-def _normal_form(f, basis, leads, ring):
-    """Full reduction of f against a list of monic elements."""
+def _lead_index(basis):
+    """{position: [(index, lead monomial), ...]} in index order."""
+    by_pos = {}
+    for idx, f in enumerate(basis):
+        pos, mono = _lead(f)
+        by_pos.setdefault(pos, []).append((idx, mono))
+    return by_pos
+
+
+def _normal_form(f, basis, by_pos, ring):
+    """Full reduction of f against a list of monic elements, whose leads
+    by_pos indexes; a term is reduced by the lowest-index lead in its
+    position that divides it."""
     out = {}
     work = dict(f)
     zero = ring.czero()
@@ -111,18 +130,15 @@ def _normal_form(f, basis, leads, ring):
         t = min(work)
         c = work.pop(t)
         pos, mono = t
-        hit = None
-        for idx, (lpos, lmono) in enumerate(leads):
-            if lpos == pos and _mono_divides(lmono, mono):
-                hit = idx
+        for idx, lmono in by_pos.get(pos, ()):
+            if _mono_divides(lmono, mono):
                 break
-        if hit is None:
+        else:
             out[t] = c
             continue
-        g = basis[hit]
-        shift = _mono_sub(mono, leads[hit][1])
-        for (p2, m2), c2 in g.items():
-            if (p2, m2) == leads[hit]:
+        shift = _mono_sub(mono, lmono)
+        for (p2, m2), c2 in basis[idx].items():
+            if p2 == pos and m2 == lmono:
                 continue
             key = (p2, _mono_add(m2, shift))
             v = ring.csub(work.get(key, zero), ring.cmul(c, c2))
@@ -143,37 +159,34 @@ def _buchberger(elements, ring, degrees, truncate=False):
     reduced, so every pair it makes has a higher degree: when a degree-d
     input pops, the basis is a d-truncated Groebner basis of the inputs kept
     before it. With truncate the loop stops once no input waits; otherwise
-    basis is a Groebner basis of the inputs."""
+    basis is a Groebner basis of the inputs.
+
+    by_pos indexes the leads of basis by position, each list in index order;
+    reduction, pair making and the chain criterion look only at the leads in
+    the position at hand."""
     basis = []
-    leads = []
+    by_pos = {}
     supports = []
     pending = set()
     heap = []
     kept = []
     one = ring.coeff(1)
 
-    def push_pairs(idx):
-        pos_new, m_new = leads[idx]
-        for i in range(idx):
-            pos_i, m_i = leads[i]
-            if pos_i != pos_new:
-                continue
-            if (
-                supports[i] == {pos_i}
-                and supports[idx] == {pos_new}
-                and all(a == 0 or b == 0 for a, b in zip(m_i, m_new))
-            ):
+    def add(f):
+        f = _make_monic(f, ring)
+        idx = len(basis)
+        pos_new, m_new = _lead(f)
+        basis.append(f)
+        supports.append({p for (p, _) in f})
+        ideal = supports[idx] == {pos_new}
+        entries = by_pos.setdefault(pos_new, [])
+        for i, m_i in entries:
+            if ideal and supports[i] == {pos_new} and all(a == 0 or b == 0 for a, b in zip(m_i, m_new)):
                 continue  # product criterion, ideal case only
             u = _mono_lcm(m_i, m_new)
             heapq.heappush(heap, (sum(u) + degrees[pos_new], 0, pos_new, u, i, idx))
             pending.add((i, idx))
-
-    def add(f):
-        f = _make_monic(f, ring)
-        basis.append(f)
-        leads.append(_lead(f))
-        supports.append({p for (p, _) in f})
-        push_pairs(len(basis) - 1)
+        entries.append((idx, m_new))
 
     for j, f in enumerate(elements):
         if f:
@@ -191,7 +204,7 @@ def _buchberger(elements, ring, degrees, truncate=False):
         if entry[1]:
             waiting -= 1
             j = entry[2]
-            r = _normal_form(elements[j], basis, leads, ring)
+            r = _normal_form(elements[j], basis, by_pos, ring)
             if r:
                 add(r)
                 kept.append(j)
@@ -199,11 +212,8 @@ def _buchberger(elements, ring, degrees, truncate=False):
         _, _, pos, u, i, j = entry
         pending.discard((i, j))
         skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            pk, mk = leads[k]
-            if pk != pos or not _mono_divides(mk, u):
+        for k, mk in by_pos[pos]:
+            if k == i or k == j or not _mono_divides(mk, u):
                 continue
             a = (i, k) if i < k else (k, i)
             b = (j, k) if j < k else (k, j)
@@ -215,7 +225,7 @@ def _buchberger(elements, ring, degrees, truncate=False):
         s = _spoly(basis[i], basis[j], ring)
         if not s:
             continue
-        r = _normal_form(s, basis, leads, ring)
+        r = _normal_form(s, basis, by_pos, ring)
         if r:
             add(r)
     if any(f[_lead(f)] != one for f in basis):
@@ -227,13 +237,16 @@ def _reduce_basis(basis, ring):
     """Sort a `_buchberger` basis by lead and fully interreduce it; canonical
     output. Nothing needs dropping: each element entered as a normal form in
     nondecreasing degree, so no lead divides another. Interreduction never
-    touches a lead, so the list stays sorted."""
+    touches a lead, so the list stays sorted. Each element is reduced with
+    its own lead taken out of the index."""
     basis = sorted(basis, key=lambda f: _term_key(_lead(f)))
-    leads = [_lead(f) for f in basis]
-    for idx in range(len(basis)):
-        others = basis[:idx] + basis[idx + 1 :]
-        other_leads = leads[:idx] + leads[idx + 1 :]
-        basis[idx] = _normal_form(basis[idx], others, other_leads, ring)
+    by_pos = _lead_index(basis)
+    for idx, f in enumerate(basis):
+        pos, mono = _lead(f)
+        entries = by_pos[pos]
+        entries.remove((idx, mono))
+        basis[idx] = _normal_form(f, basis, by_pos, ring)
+        insort(entries, (idx, mono))
     return basis
 
 

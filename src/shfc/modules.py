@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from operator import add
 
-from .rings import AlgebraError, Polynomial, RingMismatchError, monomials_of_degree
+from .rings import AlgebraError, Polynomial, RingMismatchError, _monomials_of_degree
 
 
 def binom(m, k):
@@ -45,7 +45,7 @@ class GradedFreeModule:
         index first, monomials in descending lexicographic order."""
         out = []
         for j, a in enumerate(self.degrees):
-            for mono in monomials_of_degree(self.ring.num_vars, d - a):
+            for mono in _monomials_of_degree(self.ring.num_vars, d - a):
                 out.append((j, mono))
         return out
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 
 class AlgebraError(Exception):
@@ -59,8 +60,15 @@ def grevlex_key(mono):
 
 def monomials_of_degree(num_vars, d):
     """All exponent tuples of total degree d, in descending lexicographic order."""
+    return list(_monomials_of_degree(num_vars, d))
+
+
+@cache
+def _monomials_of_degree(num_vars, d):
+    """monomials_of_degree as a tuple, built once per (num_vars, d) and
+    shared: strand bases ask for the same lists again and again."""
     if d < 0:
-        return []
+        return ()
     out = []
 
     def rec(prefix, remaining, slots):
@@ -71,7 +79,7 @@ def monomials_of_degree(num_vars, d):
             rec(prefix + (e,), remaining - e, slots - 1)
 
     rec((), d, num_vars)
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)

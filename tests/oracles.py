@@ -21,12 +21,16 @@ rows, zeros included, by the textbook formulas.
 generators, which come from strand elimination: it decides the same graded
 Nakayama rule by Groebner reduction instead, through the engine's
 Buchberger routine, so the two share no linear algebra.
+
+`normal_form_by_scan` and `reduce_basis_by_scan` are the reference for the
+engine's indexed reduction: for every term they scan the whole list of
+leads for the first divisor, position included, and keep no lead index.
 """
 
 import math
 from fractions import Fraction
 
-from shfc.groebner import _buchberger, _columns_to_elements, _lead, _normal_form
+from shfc.groebner import _buchberger, _columns_to_elements, _term_key
 from shfc.rings import Polynomial, monomials_of_degree
 
 
@@ -172,11 +176,57 @@ def minimal_generators_by_groebner(phi):
     for j in order:
         if not elems[j]:
             continue
-        if basis and not _normal_form(elems[j], basis, [_lead(g) for g in basis], ring):
+        if basis and not normal_form_by_scan(elems[j], basis, [min(g) for g in basis], ring):
             continue
         kept.append(j)
         basis = _buchberger([elems[k] for k in kept], ring, target_degrees)[0]
     return kept
+
+
+def normal_form_by_scan(f, basis, leads, ring):
+    """Full reduction of f against a list of monic elements with the given
+    leads (min of each), each term by the first lead in the list that
+    divides it."""
+    out = {}
+    work = dict(f)
+    zero = ring.czero()
+    while work:
+        t = min(work)
+        c = work.pop(t)
+        pos, mono = t
+        hit = None
+        for idx, (lpos, lmono) in enumerate(leads):
+            if lpos == pos and all(x <= y for x, y in zip(lmono, mono)):
+                hit = idx
+                break
+        if hit is None:
+            out[t] = c
+            continue
+        g = basis[hit]
+        shift = tuple(x - y for x, y in zip(mono, leads[hit][1]))
+        for (p2, m2), c2 in g.items():
+            if (p2, m2) == leads[hit]:
+                continue
+            key = (p2, tuple(x + y for x, y in zip(m2, shift)))
+            v = ring.csub(work.get(key, zero), ring.cmul(c, c2))
+            if v:
+                work[key] = v
+            else:
+                work.pop(key, None)
+    return out
+
+
+def reduce_basis_by_scan(basis, ring):
+    """Sort monic elements by lead and reduce each against all the others,
+    in list order, by normal_form_by_scan; the leads are those of the
+    sorted input."""
+    basis = sorted(basis, key=lambda f: _term_key(min(f)))
+    leads = [min(f) for f in basis]
+    for idx in range(len(basis)):
+        others = basis[:idx] + basis[idx + 1 :]
+        other_leads = leads[:idx] + leads[idx + 1 :]
+        basis[idx] = normal_form_by_scan(basis[idx], others, other_leads, ring)
+    return basis
 
 
 def _dense_rank(a, divide, reduce):

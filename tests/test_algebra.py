@@ -71,6 +71,19 @@ def test_monomials_of_degree_complete_and_sorted():
         assert monos == sorted(monos, reverse=True)  # descending lex
 
 
+def test_monomials_of_degree_returns_a_fresh_list():
+    # the lists are memoized inside; a caller's edits must not leak into them
+    first = monomials_of_degree(3, 2)
+    expected = list(first)
+    first.append((9, 9, 9))
+    first.reverse()
+    del first[0]
+    assert monomials_of_degree(3, 2) == expected
+    assert monomials_of_degree(3, -1) == []
+    monomials_of_degree(3, -1).append((0, 0, 0))
+    assert monomials_of_degree(3, -1) == []
+
+
 # --- parsing and printing -------------------------------------------------------
 
 def test_parse_basic():

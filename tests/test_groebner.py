@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import minimal_generators_by_groebner
+from oracles import minimal_generators_by_groebner, normal_form_by_scan, reduce_basis_by_scan
 
 from shfc import groebner
 from shfc.groebner import groebner_basis, minimal_generators, syzygies
@@ -395,3 +395,45 @@ def test_minimal_generators_wide_degree_spread(char):
         ["x1^3*x2^3 - x0*x1^5"], ["x1"], ["x2^6 - x3^6 + x1*x2*x3^4"], ["x2^5*x3"],
     ])
     assert assert_matches_groebner_rule(phi) == [2, 5, 0, 3, 7]
+
+
+@st.composite
+def reduction_problems(draw):
+    """A homogeneous element over P^2 spread over up to three positions,
+    and monic homogeneous reducers of lower or equal degree in random order:
+    leads may share a position, divide each other or coincide, so the
+    reducers are in general no Groebner basis and the result depends on
+    which reducer each term picks."""
+    ring = draw(st.sampled_from([R2, F2, Q2]))
+    degrees = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    coeffs = st.integers(1, ring.characteristic - 1 if ring.characteristic else 5)
+
+    def element(d):
+        terms = [
+            (pos, m)
+            for pos, a in enumerate(degrees)
+            for m in monomials_of_degree(3, d - a)
+        ]
+        support = draw(st.lists(st.sampled_from(terms), min_size=1, max_size=8, unique=True))
+        return {t: ring.coeff(draw(coeffs) * draw(st.sampled_from([1, -1]))) for t in support}
+
+    def monic(d):
+        g = element(d)
+        g[min(g)] = ring.coeff(1)
+        return g
+
+    top = max(degrees) + draw(st.integers(1, 3))
+    f = element(top)
+    reducers = [monic(draw(st.integers(min(degrees), top))) for _ in range(draw(st.integers(0, 7)))]
+    return ring, f, draw(st.permutations(reducers))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduction_problems())
+def test_indexed_reduction_matches_full_lead_scan(problem):
+    ring, f, reducers = problem
+    by_pos = groebner._lead_index(reducers)
+    expected = normal_form_by_scan(f, reducers, [min(g) for g in reducers], ring)
+    assert groebner._normal_form(f, reducers, by_pos, ring) == expected
+    if reducers:
+        assert groebner._reduce_basis(list(reducers), ring) == reduce_basis_by_scan(reducers, ring)
