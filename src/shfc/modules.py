@@ -4,8 +4,9 @@ A free module is recorded by its generator degrees: degrees (a_1..a_r) means
 S(-a_1) + .. + S(-a_r), so generator j lives in degree a_j. The degree-d
 strand of a map is a finite matrix over the coefficient field, stored as one
 sparse vector per column. One elimination routine, `sparse_rank`, serves
-both F_p (integers reduced mod p) and Q (Fractions): strand ranks, and
-the corank of a relation matrix evaluated at a point.
+both F_p (integers reduced mod p, monic pivot rows) and Q (Python ints,
+fraction-free, primitive pivot rows): strand ranks, and the corank of a
+relation matrix evaluated at a point.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from operator import add
 
-from .rings import AlgebraError, Polynomial, RingMismatchError, _monomials_of_degree
+from .rings import AlgebraError, InternalError, Polynomial, RingMismatchError, _monomials_of_degree
 
 
 def binom(m, k):
@@ -196,37 +197,78 @@ def sparse_rank(vectors, ring):
     coefficient field of ring (F_p or Q). This is the one exact elimination
     of the package.
 
-    Entries go through ring.coeff first (reduced mod p, or made exact
-    Fractions) and zeros are dropped, so no float and no unreduced zero
-    reaches the elimination. Each vector is then reduced against the pivot
-    rows found so far, lowest index first; pivot row k is monic with k as its
-    lowest index. A vector that does not reduce to zero becomes a new pivot
-    row, so the rank is the number of pivot rows. The inputs are not
-    modified.
+    Each vector is reduced against the pivot rows found so far, lowest index
+    first; pivot row k has k as its lowest index. A vector that does not
+    reduce to zero becomes a new pivot row, so the rank is the number of
+    pivot rows. Zeros are never stored, and the inputs are not modified.
+    Only the field step depends on the characteristic:
+
+    - over F_p, entries are reduced mod p, pivot rows are monic, and a lead
+      f against pivot row r is cleared by v <- v - f*r mod p;
+    - over Q (entries int or Fraction), each vector is scaled by the lcm of
+      its denominators to an int vector with the same span, pivot rows are
+      primitive (content 1) with a positive lead a, and a lead f is cleared
+      fraction-free by v <- (a/g)*v - (f/g)*r with g = gcd(a, f); v is
+      divided by its content whenever a/g != 1. No Fraction is built.
     """
     p = ring.characteristic
     pivots = {}
     for vector in vectors:
-        v = {}
-        for k, c in vector.items():
-            c = ring.coeff(c)
-            if c:
-                v[k] = c
+        if p:
+            v = {}
+            for k, c in vector.items():
+                c = int(c) % p
+                if c:
+                    v[k] = c
+        else:
+            v = _integer_vector(vector)
         while v:
             lead = min(v)
             f = v[lead]
             row = pivots.get(lead)
             if row is None:
-                inv = ring.cinv(f)
-                pivots[lead] = {k: ring.cmul(c, inv) for k, c in v.items()}
-                break
-            for k, c in row.items():
-                x = v.get(k, 0) - f * c
                 if p:
-                    x %= p
-                if x:
-                    v[k] = x
+                    inv = pow(f, -1, p)
+                    pivots[lead] = {k: c * inv % p for k, c in v.items()}
                 else:
-                    del v[k]
+                    g = math.gcd(*v.values())
+                    if f < 0:
+                        g = -g
+                    pivots[lead] = {k: c // g for k, c in v.items()} if g != 1 else v
+                break
+            if p:
+                for k, c in row.items():
+                    x = (v.get(k, 0) - f * c) % p
+                    if x:
+                        v[k] = x
+                    else:
+                        del v[k]
+            else:
+                a = row[lead]
+                g = math.gcd(a, f)
+                s, t = a // g, f // g
+                if s != 1:
+                    v = {k: s * c for k, c in v.items()}
+                for k, c in row.items():
+                    x = v.get(k, 0) - t * c
+                    if x:
+                        v[k] = x
+                    else:
+                        del v[k]
+                if s != 1 and v:
+                    g = math.gcd(*v.values())
+                    if g != 1:
+                        v = {k: c // g for k, c in v.items()}
+            if lead in v:
+                # each step must clear the lead, or the loop would never end
+                raise InternalError(f"elimination step left index {lead} nonzero")
     return len(pivots)
 
+
+def _integer_vector(vector):
+    """A sparse vector over Q (int or Fraction entries) times the lcm of its
+    denominators: a new dict of nonzero ints with the same span."""
+    den = math.lcm(*[c.denominator for c in vector.values()])
+    if den == 1:
+        return {k: n for k, c in vector.items() if (n := c.numerator)}
+    return {k: n * (den // c.denominator) for k, c in vector.items() if (n := c.numerator)}

@@ -1,13 +1,14 @@
 """Core algebra: rings, polynomials, the interchange grammar, graded free
 modules, and exact strand linear algebra."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_rank
+from oracles import dense_rank, dense_rank_rational
 
 from shfc.modules import GradedFreeModule, GradedMap, binom, sparse_rank
 from shfc.rings import (
@@ -270,6 +271,79 @@ def test_sparse_rank_leaves_its_input_alone():
     snapshot = [dict(v) for v in vectors]
     assert sparse_rank(vectors, R2) == 1
     assert vectors == snapshot
+    # over Q the kernel scales copies by denominators and contents, never the inputs
+    vectors = [
+        {0: Fraction(2, 3), 1: Fraction(-4, 9), 3: Fraction(1, 2)},
+        {0: Fraction(4, 3), 1: Fraction(-8, 9), 3: 1},
+        {1: Fraction(6, 5), 2: 0, 3: Fraction(-3, 7)},
+        {0: 3, 1: 7},
+    ]
+    snapshot = [dict(v) for v in vectors]
+    assert sparse_rank(vectors, Q1) == 3
+    assert vectors == snapshot
+    assert all(type(a) is type(b) for v, w in zip(vectors, snapshot) for a, b in zip(v.values(), w.values()))
+
+
+def rational_rank_references(rows):
+    """Ranks of dense rows over Q from the dense Fraction oracle and, where
+    it is installed, from sympy."""
+    out = [dense_rank_rational(rows)]
+    try:
+        import sympy
+    except ImportError:
+        return out
+    out.append(
+        sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator) for x in row] for row in rows]).rank()
+    )
+    return out
+
+
+def test_rational_rank_of_hilbert_matrix():
+    # full rank, every pivot a non-unit, and contents other than 1 along the way
+    rows = [[Fraction(1, i + j + 1) for j in range(10)] for i in range(10)]
+    refs = rational_rank_references(rows)
+    assert refs == [10] * len(refs)
+    assert matrix_rank(rows, Q1) == 10
+    # nine Hilbert rows and a rational combination of two of them span rank 9
+    mixed = rows[:9] + [[Fraction(3, 7) * a - Fraction(5, 11) * b for a, b in zip(rows[2], rows[6])]]
+    refs = rational_rank_references(mixed)
+    assert refs == [9] * len(refs)
+    assert matrix_rank(mixed, Q1) == 9
+
+
+def test_rational_rank_of_huge_rank_deficient_product():
+    rng = random.Random(20)
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.randint(-(10**20), 10**20)
+        return Fraction(rng.randint(-(10**20), 10**20), rng.randint(2, 10**12))
+
+    a = [[entry() for _ in range(4)] for _ in range(9)]
+    b = [[entry() for _ in range(8)] for _ in range(4)]
+    rows = [[sum((a[i][t] * b[t][j] for t in range(4)), Fraction(0)) for j in range(8)] for i in range(9)]
+    assert any(x.denominator != 1 for row in rows for x in row)
+    assert max(abs(x.numerator) for row in rows for x in row) > 10**20
+    refs = rational_rank_references(rows)
+    assert refs == [4] * len(refs)
+    assert matrix_rank(rows, Q1) == 4
+    assert matrix_rank([list(c) for c in zip(*rows)], Q1) == 4
+
+
+def test_rational_rank_mixes_int_and_fraction_entries():
+    vectors = [
+        {0: 2, 1: Fraction(1, 3), 2: -5, 4: Fraction(7, 2)},
+        {0: Fraction(4), 1: Fraction(2, 3), 2: -10, 4: 7},
+        {1: Fraction(2, 3), 2: Fraction(-3, 4), 3: 0},
+        {0: 6, 1: Fraction(5, 3), 2: Fraction(-63, 4), 4: Fraction(21, 2)},
+    ]
+    # row 1 is twice row 0; row 3 is three times row 0 plus row 2
+    dense = [[v.get(j, 0) for j in range(5)] for v in vectors]
+    refs = rational_rank_references(dense)
+    assert refs == [2] * len(refs)
+    assert sparse_rank(vectors, Q1) == 2
+    columns = [{i: v[j] for i, v in enumerate(vectors) if j in v} for j in range(5)]
+    assert sparse_rank(columns, Q1) == 2
 
 
 RANK_RINGS = [R2, Ring(2, 3), Q1]
