@@ -53,7 +53,6 @@ from .resolutions import (
     Presentation,
     betti_table,
     hilbert_function,
-    hilbert_polynomial,
     minimal_free_resolution,
     module_regularity,
     verify_strand_exactness,
@@ -112,7 +111,6 @@ __all__ = [
     "dump_module",
     "euler_characteristic_line",
     "hilbert_function",
-    "hilbert_polynomial",
     "koszul_kernel",
     "level",
     "line_bundle_oracle",

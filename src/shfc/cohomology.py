@@ -32,12 +32,18 @@ def _dual_data(pres):
 
 
 def _dual_rank(pres, j, d):
-    """Rank of the degree-d strand of psi_j, memoized per presentation."""
+    """Rank of the degree-d strand of psi_j, memoized per presentation. A
+    strand with an empty side has rank 0 and is not built: its other side
+    can have millions of basis elements."""
     key = ("dual_rank", j, d)
     if key in pres.cache:
         return pres.cache[key]
     _, dual_maps = _dual_data(pres)
-    r = dual_maps[j - 1].strand_matrix(d).rank()
+    psi = dual_maps[j - 1]
+    if psi.source.strand_dimension(d) and psi.target.strand_dimension(d):
+        r = psi.strand_matrix(d).rank()
+    else:
+        r = 0
     pres.cache[key] = r
     return r
 

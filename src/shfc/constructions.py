@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .groebner import minimal_generators, syzygies
+from .groebner import resolve
 from .modules import GradedFreeModule, GradedMap
 from .resolutions import Presentation
 from .rings import AlgebraError, Polynomial
@@ -118,8 +118,9 @@ _koszul_cache = {}
 
 def koszul_kernel(ring, m):
     """The kernel sheaf R_m = ker(Lambda^m V (x) O -> Lambda^{m-1} V (x) O(1))
-    on P^n, presented by its syzygies; sheafifies to Omega^m(m). m ranges
-    over 0..n; R_0 is the structure sheaf."""
+    on P^n, presented by the next two maps of the minimal resolution of the
+    Koszul map's cokernel; sheafifies to Omega^m(m). m ranges over 0..n;
+    R_0 is the structure sheaf, and R_n is free of rank one."""
     n = ring.dim
     if not 0 <= m <= n:
         raise AlgebraError(f"Koszul kernel index {m} outside [0, {n}]")
@@ -129,10 +130,11 @@ def koszul_kernel(ring, m):
     if m == 0:
         out = Presentation.free(ring, (0,))
     else:
-        kappa = koszul_differential(ring, m)
-        gens_map = minimal_generators(syzygies(kappa))
-        rels = minimal_generators(syzygies(gens_map))
-        out = Presentation(gens_map.source, rels)
+        maps = resolve(koszul_differential(ring, m))
+        if len(maps) > 2:
+            out = Presentation(maps[1].source, maps[2])
+        else:
+            out = Presentation.free(ring, maps[1].source.degrees)
     _koszul_cache[key] = out
     return out
 

@@ -9,7 +9,8 @@ order, so the lead term of a homogeneous element is min(f). Every element
 here is homogeneous because the public entry points validate their map;
 only `_reduce_basis`, which sorts leads of different degrees, needs
 `_term_key`. `_columns_to_elements` and `_map_from_elements` are the only
-converters between a GradedMap and this element form.
+converters between a GradedMap and this element form; `resolve` crosses
+them once into element form and once out per map it emits.
 
 Kernels are computed with an elimination order on the graph of the map:
 inside target + source, every target term beats every source term, so the
@@ -23,11 +24,14 @@ criterion only in its valid scope: both elements supported entirely in one
 common position, which is the embedded ideal case. The coprime-lead shortcut
 is false for general module elements, e.g. x*e1 + y*e2 and y*e1 + x*e2.
 
-One Buchberger loop serves all three entry points. It takes inputs and
+One Buchberger loop serves all four entry points. It takes inputs and
 S-pairs in degree order, so a column of degree d meets a d-truncated
 Groebner basis of the columns kept before it; minimal generators are the
 columns whose normal form there is nonzero, and the loop stops once no
-column waits. The two other entry points run it to completion.
+column waits. `groebner_basis` and the kernel step `_kernel` run it to
+completion; `syzygies` is one kernel step, and `resolve` alternates
+truncated runs (minimal generators) with kernel steps until the kernel is
+zero.
 
 Only a lead in the same position can divide a term, so the loop keeps its
 leads indexed by position, by_pos = {position: [(index, lead monomial),
@@ -282,19 +286,25 @@ def groebner_basis(phi):
     return _map_from_elements(gb, phi.target)
 
 
+def _kernel(elems, ring, target_degrees, source_degrees):
+    """Reduced Groebner basis of the kernel of the map whose columns are
+    elems, as elements of the source: Buchberger on the graph of the map,
+    then interreduction of the elements supported in the source block."""
+    r = len(target_degrees)
+    unit = (0,) * ring.num_vars
+    one = ring.coeff(1)
+    graph = [{**f, (r + j, unit): one} for j, f in enumerate(elems)]
+    degrees = list(target_degrees) + list(source_degrees)
+    # the lead is the lowest position, so these lie wholly in the source block
+    kernel = [f for f in _buchberger(graph, ring, degrees)[0] if _lead(f)[0] >= r]
+    return [{(pos - r, mono): c for (pos, mono), c in f.items()} for f in _reduce_basis(kernel, ring)]
+
+
 def syzygies(phi):
     """Map onto the kernel: image of the result is exactly ker(phi)."""
     phi.validate()
-    ring = phi.ring
-    r = phi.target.rank
-    degrees = list(phi.target.degrees) + list(phi.source.degrees)
-    elems = _columns_to_elements(phi)
-    for j in range(phi.source.rank):
-        elems[j][(r + j, (0,) * ring.num_vars)] = ring.coeff(1)
-    # the lead is the lowest position, so these lie wholly in the source block
-    kernel = [f for f in _buchberger(elems, ring, degrees)[0] if _lead(f)[0] >= r]
-    syz = [{(pos - r, mono): c for (pos, mono), c in f.items()} for f in _reduce_basis(kernel, ring)]
-    return _map_from_elements(syz, phi.source)
+    kernel = _kernel(_columns_to_elements(phi), phi.ring, phi.target.degrees, phi.source.degrees)
+    return _map_from_elements(kernel, phi.source)
 
 
 def minimal_generators(phi):
@@ -310,3 +320,28 @@ def minimal_generators(phi):
     elems = _columns_to_elements(phi)
     _, kept = _buchberger(elems, phi.ring, list(phi.target.degrees), truncate=True)
     return _map_from_elements([elems[j] for j in kept], phi.target)
+
+
+def resolve(phi):
+    """Maps of the minimal free resolution of coker(phi), each into the
+    source of the one before: the minimal generators of phi's columns, then
+    the minimal generators of each reduced kernel basis (`syzygies`), up to
+    the first zero kernel. Between steps the columns stay elements; each map
+    is validated as it is emitted. By Hilbert's syzygy theorem there are at
+    most num_vars maps; more raises InternalError."""
+    phi.validate()
+    ring = phi.ring
+    target = phi.target
+    elems = _columns_to_elements(phi)
+    maps = []
+    while True:
+        kept = _buchberger(elems, ring, list(target.degrees), truncate=True)[1]
+        if not kept:
+            return maps
+        gens = [elems[j] for j in kept]
+        step = _map_from_elements(gens, target).validate()
+        maps.append(step)
+        if len(maps) > ring.num_vars:
+            raise InternalError("Hilbert syzygy bound exceeded")
+        elems = _kernel(gens, ring, target.degrees, step.source.degrees)
+        target = step.source

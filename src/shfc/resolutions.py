@@ -2,18 +2,16 @@
 
 A module is the cokernel of a graded map rels: F1 -> F0 = gens. Resolutions
 are built minimal by construction: the presentation is first reduced by unit
-elimination and column pruning, then each kernel is replaced by a minimal
-homogeneous generating set (weakly increasing degree + Nakayama), so no map
-in the chain carries a nonzero constant entry.
+elimination, then `groebner.resolve` replaces the relations and each kernel
+by a minimal homogeneous generating set (weakly increasing degree +
+Nakayama), so no map in the chain carries a nonzero constant entry.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .groebner import minimal_generators, syzygies
+from .groebner import resolve
 from .modules import GradedFreeModule, GradedMap
 from .rings import AlgebraError, InternalError
 
@@ -67,8 +65,8 @@ class BettiTable:
 
 
 def minimize_presentation(pres):
-    """Isomorphic presentation with no unit relation entries and with the
-    relation columns a minimal generating set of the relation submodule."""
+    """Isomorphic presentation with no unit relation entries; `resolve`
+    prunes the relation columns to minimal generators."""
     pres.validate()
     ring = pres.ring
     gen_degrees = list(pres.gens.degrees)
@@ -103,15 +101,9 @@ def minimize_presentation(pres):
         cols = [{r - (r > i): p for r, p in col.items() if r != i and p.terms} for col in cols]
         del gen_degrees[i]
 
-    keep = [j for j, col in enumerate(cols) if col]
-    cols = [cols[j] for j in keep]
-    col_degrees = [col_degrees[j] for j in keep]
-
     gens = GradedFreeModule(ring, tuple(gen_degrees))
     rels = GradedMap.from_columns(GradedFreeModule(ring, tuple(col_degrees)), gens, cols)
-    # with no relations rels is already minimal; the suites build many such
-    # presentations, and skipping the call is measurably cheaper there
-    return Presentation(gens, minimal_generators(rels) if cols else rels)
+    return Presentation(gens, rels)
 
 
 def minimal_free_resolution(pres):
@@ -119,20 +111,8 @@ def minimal_free_resolution(pres):
     if "resolution" in pres.cache:
         return pres.cache["resolution"]
     reduced = minimize_presentation(pres)
-    ring = pres.ring
-    modules = [reduced.gens]
-    maps = []
-    if reduced.gens.rank and reduced.rels.source.rank:
-        maps.append(reduced.rels)
-        modules.append(reduced.rels.source)
-        while True:
-            sz = minimal_generators(syzygies(maps[-1]))
-            if sz.source.rank == 0:
-                break
-            maps.append(sz)
-            modules.append(sz.source)
-            if len(maps) > ring.num_vars:
-                raise InternalError("Hilbert syzygy bound exceeded")
+    maps = resolve(reduced.rels)
+    modules = [reduced.gens] + [m.source for m in maps]
     for m in maps:
         for col in m.cols:
             for p in col.values():
@@ -163,37 +143,6 @@ def hilbert_function(pres, d):
     """dim of the degree-d piece, exact in every degree via the resolution."""
     res, _ = minimal_free_resolution(pres)
     return sum((-1) ** i * mod.strand_dimension(d) for i, mod in enumerate(res.modules))
-
-
-def _binomial_poly(n, a):
-    """Coefficients of d -> C(n + d - a, n) as a polynomial in d."""
-    coeffs = [Fraction(1)]
-    for j in range(1, n + 1):
-        shift = Fraction(j - a)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k] += c * shift
-            nxt[k + 1] += c
-        coeffs = nxt
-    fact = Fraction(math.factorial(n))
-    return [c / fact for c in coeffs]
-
-
-def hilbert_polynomial(pres):
-    """Coefficient tuple (ascending) of the Hilbert polynomial, exact
-    rationals. For its values at integers, cohomology.euler_characteristic
-    is the integer path."""
-    res, _ = minimal_free_resolution(pres)
-    n = pres.ring.dim
-    coeffs = [Fraction(0)] * (n + 1)
-    for i, mod in enumerate(res.modules):
-        sign = (-1) ** i
-        for a in mod.degrees:
-            for k, c in enumerate(_binomial_poly(n, a)):
-                coeffs[k] += sign * c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 def default_verification_window(pres):

@@ -5,9 +5,10 @@ binomial formulas, implemented separately so that agreement with the
 resolution/duality pipeline is meaningful evidence. The two oracles
 cross-validate each other (and themselves) through Serre duality and
 Euler-characteristic recursions; `test_oracles_are_self_consistent` in
-test_cohomology.py runs those checks. `hilbert_polynomial_value` evaluates
-the engine's Fraction Hilbert polynomial exactly, as a reference for its
-integer Euler characteristics.
+test_cohomology.py runs those checks. `hilbert_polynomial` reads the Hilbert
+polynomial of a module off the Betti numbers of its resolution as exact
+Fractions, and `hilbert_polynomial_value` evaluates it: a reference for the
+engine's integer Euler characteristics.
 
 The dense row eliminations are the reference for the engine's sparse rank
 kernel: plain column-by-column Gaussian elimination on full rows, mod p or
@@ -31,6 +32,7 @@ import math
 from fractions import Fraction
 
 from shfc.groebner import _buchberger, _columns_to_elements, _term_key
+from shfc.resolutions import minimal_free_resolution
 from shfc.rings import Polynomial, monomials_of_degree
 
 
@@ -86,9 +88,39 @@ def chi_line(n, m):
     return num // math.factorial(n)
 
 
+def _binomial_poly(n, a):
+    """Coefficients of d -> C(n + d - a, n) as a polynomial in d."""
+    coeffs = [Fraction(1)]
+    for j in range(1, n + 1):
+        shift = Fraction(j - a)
+        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            nxt[k] += c * shift
+            nxt[k + 1] += c
+        coeffs = nxt
+    fact = Fraction(math.factorial(n))
+    return [c / fact for c in coeffs]
+
+
+def hilbert_polynomial(pres):
+    """Coefficient tuple (ascending) of the Hilbert polynomial, exact
+    rationals, from the degrees of the cached minimal resolution."""
+    res, _ = minimal_free_resolution(pres)
+    n = pres.ring.dim
+    coeffs = [Fraction(0)] * (n + 1)
+    for i, mod in enumerate(res.modules):
+        sign = (-1) ** i
+        for a in mod.degrees:
+            for k, c in enumerate(_binomial_poly(n, a)):
+                coeffs[k] += sign * c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 def hilbert_polynomial_value(coeffs, d):
     """Exact value at the integer d of an ascending coefficient tuple of
-    Fractions (the form resolutions.hilbert_polynomial returns), by Horner's
+    Fractions (the form hilbert_polynomial returns), by Horner's
     rule. A Fraction; it equals an int only if its denominator is 1."""
     acc = Fraction(0)
     for c in reversed(coeffs):

@@ -10,6 +10,7 @@ from oracles import (
     bott_h,
     chi_line,
     chi_omega,
+    hilbert_polynomial,
     hilbert_polynomial_value,
     line_bundle_h,
 )
@@ -29,7 +30,6 @@ from shfc.resolutions import (
     MINUS_INFINITY,
     Presentation,
     hilbert_function,
-    hilbert_polynomial,
 )
 from shfc.rings import AlgebraError, InternalError, Ring
 from shfc.rng import Lcg

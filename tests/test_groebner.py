@@ -1,9 +1,10 @@
-"""Groebner bases, syzygies, and minimal generators for graded submodules
-of free modules.
+"""Groebner bases, syzygies, minimal generators and resolutions for graded
+submodules of free modules.
 
 Correctness is checked black-box: a syzygy map must compose to zero with
 its input symbolically, and its image must fill the kernel degree by
 degree (rank-nullity on strands). Those two facts pin the kernel exactly.
+`resolve` is checked map for map against iterating the two public steps.
 """
 
 import os
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 from oracles import minimal_generators_by_groebner, normal_form_by_scan, reduce_basis_by_scan
 
 from shfc import groebner
-from shfc.groebner import groebner_basis, minimal_generators, syzygies
+from shfc.constructions import q_power_pullback, sym_power, tensor
+from shfc.corpus import draw_locally_free
+from shfc.groebner import groebner_basis, minimal_generators, resolve, syzygies
 from shfc.modules import GradedFreeModule, GradedMap, binom
 from shfc.rings import (
     AlgebraError,
@@ -29,6 +32,7 @@ from shfc.rings import (
     monomials_of_degree,
     parse_polynomial,
 )
+from shfc.rng import Lcg
 
 R2 = Ring(32003, 3)
 Q2 = Ring(0, 3)
@@ -263,7 +267,7 @@ def _bad_maps():
     ]
 
 
-@pytest.mark.parametrize("entry_point", [groebner_basis, syzygies, minimal_generators])
+@pytest.mark.parametrize("entry_point", [groebner_basis, syzygies, minimal_generators, resolve])
 def test_public_entry_points_reject_invalid_maps(entry_point):
     # the lead term is min(f) only on homogeneous elements, so every public
     # entry point validates its map first
@@ -284,6 +288,93 @@ def test_syzygy_tower_terminates():
         steps += 1
         assert steps <= 3
     assert steps == 2  # Koszul: relations in step 1, last syzygy in step 2
+
+
+@st.composite
+def corpus_relations(draw):
+    """The relation map of a corpus draw on P^2 or P^3, of its tensor
+    product with a second draw, of its symmetric square or of its q-power
+    pullback. Draws without relations, a free module's, are drawn again:
+    on P^1 every corpus module is free."""
+    ring = Ring(draw(st.sampled_from([32003, 2, 0])), draw(st.integers(3, 4)))
+    rng = Lcg(draw(st.integers(0, 2**32)))
+    pres, _ = draw_locally_free(ring, rng)
+    while not pres.rels.source.rank:
+        pres, _ = draw_locally_free(ring, rng)
+    kind = draw(st.sampled_from(["draw", "tensor", "sym", "qpow"]))
+    if kind == "tensor":
+        pres = tensor(pres, draw_locally_free(ring, rng)[0])
+    elif kind == "sym":
+        pres = sym_power(pres, 2)
+    elif kind == "qpow":
+        pres = q_power_pullback(pres, draw(st.integers(2, 3)))
+    return pres.rels
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus_relations())
+def test_resolve_equals_iterated_minimal_generators_of_syzygies(phi):
+    expected = []
+    step = minimal_generators(phi)
+    while step.source.rank:
+        expected.append(step)
+        step = minimal_generators(syzygies(step))
+    maps = resolve(phi)
+    assert len(maps) == len(expected)
+    for got, want in zip(maps, expected):
+        assert got.target == want.target
+        assert got.source.degrees == want.source.degrees
+        assert got.cols == want.cols
+
+
+def _planted_kernel(nonzero_steps):
+    """A stand-in for groebner._kernel: its first nonzero_steps calls return
+    the first source generator, a kernel that never runs out, and later
+    calls return the zero kernel."""
+    calls = []
+
+    def kernel(elems, ring, target_degrees, source_degrees):
+        calls.append(None)
+        if len(calls) > nonzero_steps:
+            return []
+        return [{(0, (0,) * ring.num_vars): ring.coeff(1)}]
+
+    return kernel
+
+
+def test_resolve_stops_at_the_hilbert_syzygy_bound(monkeypatch):
+    # num_vars maps are allowed, as for the residue field; one more raises
+    phi = column_map(R2, [0], [["x0"]])
+    monkeypatch.setattr(groebner, "_kernel", _planted_kernel(R2.num_vars - 1))
+    assert len(resolve(phi)) == R2.num_vars
+    monkeypatch.setattr(groebner, "_kernel", _planted_kernel(R2.num_vars))
+    with pytest.raises(InternalError, match="Hilbert syzygy bound exceeded"):
+        resolve(phi)
+
+
+def test_hilbert_syzygy_bound_survives_optimized_python(tmp_path):
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    script = (
+        "import sys\n"
+        "from shfc import groebner\n"
+        "from shfc.rings import InternalError\n"
+        "from test_groebner import R2, _planted_kernel, column_map\n"
+        "if __debug__:\n"
+        "    sys.exit('expected python -O')\n"
+        "groebner._kernel = _planted_kernel(10**6)\n"
+        "try:\n"
+        "    groebner.resolve(column_map(R2, [0], [['x0']]))\n"
+        "except InternalError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised Hilbert syzygy bound exceeded\n"
 
 
 def test_buchberger_step_bound_raises_internal_error(monkeypatch):

@@ -600,21 +600,50 @@ def test_cli_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     assert captured.err == "shfc: internal error: MemoryError: planted exhaustion\n"
 
 
-def test_cli_recursion_error_exits_3(tmp_path, capsys):
-    # 1000 variables drive the recursive monomial enumeration of a strand
-    # basis past the interpreter's recursion limit; that is not a failed
-    # verification. The Betti table needs no strand and comes out whole.
-    path = write_module(
-        tmp_path,
-        "wide.json",
-        {"ring": {"char": 32003, "vars": 1000}, "generators": [0], "relations": [["x0"], ["x0*x1"]]},
-    )
-    assert main(["betti", "--module", path]) == 0
-    assert capsys.readouterr().out == '{"betti":[[0,0,1],[1,1,1]],"regularity":0}\n'
-    assert main(["reg", "--module", path]) == 3
+def test_cli_recursion_error_exits_3(tmp_path, capsys, monkeypatch):
+    def too_deep(pres):
+        raise RecursionError("planted recursion")
+
+    monkeypatch.setattr("shfc.cli.betti_table", too_deep)
+    path = write_module(tmp_path, "s.json", S_P1)
+    assert main(["betti", "--module", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("shfc: internal error: RecursionError: ")
+    assert captured.err == "shfc: internal error: RecursionError: planted recursion\n"
+
+
+def test_cli_wide_ring_answers_without_a_strand(tmp_path, capsys):
+    # on 1000 variables a strand basis would recurse past the interpreter's
+    # limit in the monomial enumeration; every dual strand here has an empty
+    # side, so reg reads the same answer as on 6 variables and builds none
+    module = {"ring": {"char": 32003, "vars": 1000}, "generators": [0], "relations": [["x0"], ["x0*x1"]]}
+    path = write_module(tmp_path, "wide.json", module)
+    assert main(["betti", "--module", path]) == 0
+    assert capsys.readouterr().out == '{"betti":[[0,0,1],[1,1,1]],"regularity":0}\n'
+    assert main(["reg", "--module", path]) == 0
+    assert capsys.readouterr().out == '{"regularity":0}\n'
+    path = write_module(tmp_path, "narrow.json", dict(module, ring={"char": 32003, "vars": 6}))
+    assert main(["reg", "--module", path]) == 0
+    assert capsys.readouterr().out == '{"regularity":0}\n'
+
+
+def test_cli_level_builds_no_strand_with_an_empty_side(tmp_path, capsys, monkeypatch):
+    # psi_1 of O/(x0^3000) on P^2 at e = -2 has 4,498,500 rows and no
+    # columns; its rank is 0 from the strand dimensions alone, and every
+    # other strand level asks for has an empty side as well
+    built = []
+    strand_matrix = GradedMap.strand_matrix
+
+    def counting(self, d):
+        built.append(d)
+        return strand_matrix(self, d)
+
+    monkeypatch.setattr(GradedMap, "strand_matrix", counting)
+    module = {"ring": {"char": 32003, "vars": 3}, "generators": [0], "relations": [["x0^3000"]]}
+    path = write_module(tmp_path, "hyper.json", module)
+    assert main(["level", "--module", path]) == 0
+    assert capsys.readouterr().out == '{"value":1,"witnesses":[{"q":1,"i":0,"h":4498500}]}\n'
+    assert built == []
 
 
 def test_cli_twist_window_with_negative_start(tmp_path, capsys):

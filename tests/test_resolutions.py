@@ -21,7 +21,6 @@ from shfc.resolutions import (
     Presentation,
     betti_table,
     hilbert_function,
-    hilbert_polynomial,
     minimal_free_resolution,
     minimize_presentation,
     module_regularity,
@@ -29,7 +28,7 @@ from shfc.resolutions import (
 )
 from shfc.rings import AlgebraError, InternalError, Ring
 
-from oracles import binomial
+from oracles import binomial, hilbert_polynomial
 
 
 def pres(char, nvars, generators, relations):
