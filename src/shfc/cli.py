@@ -209,14 +209,14 @@ def main(argv=None):
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_merge_twists(list(argv)))
+        # argparse before Python 3.13 reads "--flag=--" as [], skipping type=
+        if any(isinstance(value, list) for value in vars(args).values()):
+            parser.error("'--' is not a flag value")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _run(args)
-    except (AlgebraError, ValueError) as exc:
-        print(f"shfc: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (AlgebraError, ValueError, OSError) as exc:
         print(f"shfc: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:

@@ -91,10 +91,6 @@ class CohomologyTable:
     def value(self, i, d):
         return self.h[i][d - self.window[0]]
 
-    def euler_characteristic(self, d):
-        col = d - self.window[0]
-        return sum((-1) ** i * row[col] for i, row in enumerate(self.h))
-
     def to_json_dict(self):
         return {"n": self.n, "window": list(self.window), "h": [list(r) for r in self.h]}
 

@@ -2,17 +2,16 @@
 power-map pullbacks, and the Koszul kernel sheaves.
 
 Everything returns a new Presentation; inputs are never mutated. Koszul
-kernels are memoized per (ring, m) since the verification suites rebuild
-them constantly.
+kernels are read off `minimal_free_resolution` and memoized per (ring, m),
+since the verification suites rebuild them constantly.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .groebner import resolve
 from .modules import GradedFreeModule, GradedMap
-from .resolutions import Presentation
+from .resolutions import Presentation, minimal_free_resolution
 from .rings import AlgebraError, Polynomial
 
 
@@ -118,8 +117,8 @@ _koszul_cache = {}
 
 def koszul_kernel(ring, m):
     """The kernel sheaf R_m = ker(Lambda^m V (x) O -> Lambda^{m-1} V (x) O(1))
-    on P^n, presented by the next two maps of the minimal resolution of the
-    Koszul map's cokernel; sheafifies to Omega^m(m). m ranges over 0..n;
+    on P^n, presented by modules[2] and maps[2] of the minimal resolution of
+    the Koszul map's cokernel; sheafifies to Omega^m(m). m ranges over 0..n;
     R_0 is the structure sheaf, and R_n is free of rank one."""
     n = ring.dim
     if not 0 <= m <= n:
@@ -130,11 +129,12 @@ def koszul_kernel(ring, m):
     if m == 0:
         out = Presentation.free(ring, (0,))
     else:
-        maps = resolve(koszul_differential(ring, m))
-        if len(maps) > 2:
-            out = Presentation(maps[1].source, maps[2])
+        d = koszul_differential(ring, m)
+        res, _ = minimal_free_resolution(Presentation(d.target, d))
+        if res.length > 2:
+            out = Presentation(res.modules[2], res.maps[2])
         else:
-            out = Presentation.free(ring, maps[1].source.degrees)
+            out = Presentation.free(ring, res.modules[2].degrees)
     _koszul_cache[key] = out
     return out
 

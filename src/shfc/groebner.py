@@ -31,7 +31,7 @@ columns whose normal form there is nonzero, and the loop stops once no
 column waits. `groebner_basis` and the kernel step `_kernel` run it to
 completion; `syzygies` is one kernel step, and `resolve` alternates
 truncated runs (minimal generators) with kernel steps until the kernel is
-zero.
+zero. Only `resolutions`, which owns every minimal resolution, imports this.
 
 Only a lead in the same position can divide a term, so the loop keeps its
 leads indexed by position, by_pos = {position: [(index, lead monomial),

@@ -170,7 +170,7 @@ class GradedMap:
             {row_index[i, tuple(map(add, mono, mono_src))]: c for i, mono, c in terms[j]}
             for j, mono_src in cols
         ]
-        return StrandMatrix(ring=self.ring, degree=d, row_basis=rows, col_basis=cols, columns=columns)
+        return StrandMatrix(ring=self.ring, row_basis=rows, col_basis=cols, columns=columns)
 
 
 @dataclass
@@ -179,7 +179,6 @@ class StrandMatrix:
     {row index: coefficient}; zero coefficients are not stored."""
 
     ring: object
-    degree: int
     row_basis: list
     col_basis: list
     columns: list = field(repr=False)

@@ -1,10 +1,12 @@
 """Presentations, minimal free resolutions, Betti tables, Hilbert functions.
 
-A module is the cokernel of a graded map rels: F1 -> F0 = gens. Resolutions
-are built minimal by construction: the presentation is first reduced by unit
+A module is the cokernel of a graded map rels: F1 -> F0 = gens. This module
+alone builds minimal free resolutions and imports `groebner`. They are
+minimal by construction: the presentation is first reduced by unit
 elimination, then `groebner.resolve` replaces the relations and each kernel
 by a minimal homogeneous generating set (weakly increasing degree +
-Nakayama), so no map in the chain carries a nonzero constant entry.
+Nakayama), so no map in the chain carries a unit; `_unit_entries` finds
+units from degrees, for the elimination and for the check on each map.
 """
 
 from __future__ import annotations
@@ -64,6 +66,16 @@ class BettiTable:
         return max(j - i for (i, j) in self.entries)
 
 
+def _unit_entries(cols, source_degrees, target_degrees):
+    """(row, column) of each unit entry of a homogeneous map given by sparse
+    columns, column by column with rows ascending: entry (i, j) has degree
+    source_degrees[j] - target_degrees[i], and a stored entry is nonzero."""
+    for j, col in enumerate(cols):
+        for i in sorted(col):
+            if source_degrees[j] == target_degrees[i]:
+                yield i, j
+
+
 def minimize_presentation(pres):
     """Isomorphic presentation with no unit relation entries; `resolve`
     prunes the relation columns to minimal generators."""
@@ -73,17 +85,7 @@ def minimize_presentation(pres):
     col_degrees = list(pres.rels.source.degrees)
     cols = list(pres.rels.cols)
 
-    def find_unit():
-        for j, col in enumerate(cols):
-            for i in sorted(col):
-                if col[i].is_constant():
-                    return i, j
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
+    while (hit := next(_unit_entries(cols, col_degrees, gen_degrees), None)) is not None:
         i, j = hit
         inv = ring.cinv(cols[j][i].constant_value())
         pivot = {r: p.scale(inv) for r, p in cols[j].items()}
@@ -114,10 +116,8 @@ def minimal_free_resolution(pres):
     maps = resolve(reduced.rels)
     modules = [reduced.gens] + [m.source for m in maps]
     for m in maps:
-        for col in m.cols:
-            for p in col.values():
-                if p.is_constant():
-                    raise InternalError("resolution is not minimal")
+        if next(_unit_entries(m.cols, m.source.degrees, m.target.degrees), None) is not None:
+            raise InternalError("resolution is not minimal")
     res = FreeResolution(modules=modules, maps=maps)
     betti = BettiTable(
         entries={

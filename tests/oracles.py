@@ -26,13 +26,22 @@ Buchberger routine, so the two share no linear algebra.
 `normal_form_by_scan` and `reduce_basis_by_scan` are the reference for the
 engine's indexed reduction: for every term they scan the whole list of
 leads for the first divisor, position included, and keep no lead index.
+
+`minimize_presentation_by_terms` is the reference for the engine's unit
+elimination, which finds units from degrees: it finds them by scanning the
+terms of every entry for a constant. `koszul_kernel_by_groebner` is the
+reference for the engine's Koszul kernels, which go through
+`minimal_free_resolution`: it reads R_m straight off `groebner.resolve` of
+the Koszul map, with no unit elimination and no minimality check.
 """
 
 import math
 from fractions import Fraction
 
-from shfc.groebner import _buchberger, _columns_to_elements, _term_key
-from shfc.resolutions import minimal_free_resolution
+from shfc.constructions import koszul_differential
+from shfc.groebner import _buchberger, _columns_to_elements, _term_key, resolve
+from shfc.modules import GradedFreeModule, GradedMap
+from shfc.resolutions import Presentation, minimal_free_resolution
 from shfc.rings import Polynomial, monomials_of_degree
 
 
@@ -259,6 +268,60 @@ def reduce_basis_by_scan(basis, ring):
         other_leads = leads[:idx] + leads[idx + 1 :]
         basis[idx] = normal_form_by_scan(basis[idx], others, other_leads, ring)
     return basis
+
+
+def minimize_presentation_by_terms(pres):
+    """Unit elimination that finds each unit by its terms: the first entry,
+    column by column with rows ascending, whose polynomial is a constant."""
+    pres.validate()
+    ring = pres.ring
+    gen_degrees = list(pres.gens.degrees)
+    col_degrees = list(pres.rels.source.degrees)
+    cols = list(pres.rels.cols)
+
+    def find_unit():
+        for j, col in enumerate(cols):
+            for i in sorted(col):
+                if col[i].is_constant():
+                    return i, j
+        return None
+
+    while True:
+        hit = find_unit()
+        if hit is None:
+            break
+        i, j = hit
+        inv = ring.cinv(cols[j][i].constant_value())
+        pivot = {r: p.scale(inv) for r, p in cols[j].items()}
+        for k, col in enumerate(cols):
+            if k == j or i not in col:
+                continue
+            factor = col[i]
+            col = dict(col)
+            for r, b in pivot.items():
+                col[r] = col[r] - factor * b if r in col else -(factor * b)
+            cols[k] = col
+        del cols[j]
+        del col_degrees[j]
+        # row i is now zero in every column; later rows move up by one
+        cols = [{r - (r > i): p for r, p in col.items() if r != i and p.terms} for col in cols]
+        del gen_degrees[i]
+
+    gens = GradedFreeModule(ring, tuple(gen_degrees))
+    rels = GradedMap.from_columns(GradedFreeModule(ring, tuple(col_degrees)), gens, cols)
+    return Presentation(gens, rels)
+
+
+def koszul_kernel_by_groebner(ring, m):
+    """R_m presented by maps 1 and 2 of `groebner.resolve` of the Koszul
+    map: Presentation(maps[1].source, maps[2]), or a free module on
+    maps[1].source when the resolution has two maps; O for m = 0."""
+    if m == 0:
+        return Presentation.free(ring, (0,))
+    maps = resolve(koszul_differential(ring, m))
+    if len(maps) > 2:
+        return Presentation(maps[1].source, maps[2])
+    return Presentation.free(ring, maps[1].source.degrees)
 
 
 def _dense_rank(a, divide, reduce):

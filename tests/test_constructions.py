@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from oracles import binomial, bott_h, chi_omega, line_bundle_h
+from oracles import binomial, bott_h, chi_omega, koszul_kernel_by_groebner, line_bundle_h
 
 from shfc.cohomology import cohomology_table, sheaf_cohomology_dim
 from shfc.constructions import (
@@ -272,6 +272,22 @@ def test_koszul_kernel_index_range():
         koszul_kernel(R_P2, 3)
     with pytest.raises(AlgebraError):
         koszul_kernel(R_P2, -1)
+
+
+@pytest.mark.parametrize("char", [2, 3, 32003, 0])
+def test_koszul_kernel_matches_resolve_of_the_koszul_map(char):
+    # koszul_kernel reads R_m off minimal_free_resolution, with its unit
+    # elimination and minimality check; maps 1 and 2 of groebner.resolve
+    # on the Koszul map must come out column for column
+    for n in range(1, 6):
+        ring = Ring(char, n + 1)
+        for m in range(n + 1):
+            got = koszul_kernel(ring, m)
+            want = koszul_kernel_by_groebner(ring, m)
+            assert got.gens == want.gens, (n, m)
+            assert got.rels.source == want.rels.source, (n, m)
+            assert got.rels.target == want.rels.target, (n, m)
+            assert got.rels.cols == want.rels.cols, (n, m)
 
 
 def test_omega_presentation_shape_on_p2():

@@ -5,6 +5,8 @@ for the JSON formats (compact separators, fixed key order), so any
 formatting drift fails loudly.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -653,3 +655,152 @@ def test_cli_twist_window_with_negative_start(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
 
+
+
+# --------------------------------------------------------------------------
+# CLI: fuzzing main() over its own vocabulary
+# --------------------------------------------------------------------------
+
+# tiny module files, by name: valid ones over F_2, F_3 and Q on P^1 and P^2,
+# then the malformed kinds the parser refuses; "missing" is never written
+FUZZ_MODULES = {
+    "f2_unit": {"ring": {"char": 2, "vars": 2}, "generators": [0, 1], "relations": [["x0", "1"]]},
+    "f3_ideal": {"ring": {"char": 3, "vars": 3}, "generators": [0], "relations": [["x0*x1"], ["x2^2"]]},
+    "qq_omega": {"ring": {"char": 0, "vars": 3}, "generators": [1, 1, 1], "relations": [["x0", "x1", "x2"]]},
+    "qq_free": {"ring": {"char": 0, "vars": 2}, "generators": [0, -1], "relations": []},
+    "f2_point": {"ring": {"char": 2, "vars": 3}, "generators": [0], "relations": [["x1"], ["x2"]]},
+    "boolean": BOOLEAN_MODULES[0][0],
+    "no_generators": {"ring": {"char": 3, "vars": 2}, "relations": []},
+    "relations_not_list": dict(S_P1, relations=5),
+    "inhomogeneous": {"ring": {"char": 0, "vars": 2}, "generators": [0], "relations": [["x0 + x1^2"]]},
+}
+FUZZ_FILES = sorted(FUZZ_MODULES) + ["bad_json", "missing"]
+
+
+def mostly(valid, invalid):
+    """Three draws in four from the valid tokens, so that most commands run."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(valid if k else invalid))
+
+
+MODULE_FILES = mostly(["f2_unit", "f3_ideal", "qq_omega", "qq_free", "f2_point"], FUZZ_FILES)
+
+COMMANDS = ["cohomology", "betti", "reg", "level", "phicert", "beilinson", "construct", "verify"]
+CONSTRUCTIONS = ["twist", "sum", "tensor", "sym", "qpow", "koszulR", "omega"]
+FLAGS = [
+    "--module", "--other", "--twists", "--format", "--e", "--power", "--q",
+    "--char", "--dim", "--m", "--p", "--out", "--seed", "--help",
+]
+# each command's own flags, so that most draws get past argparse
+OWN_FLAGS = {
+    "cohomology": ["--module", "--twists", "--format"],
+    "betti": ["--module"],
+    "reg": ["--module"],
+    "level": ["--module"],
+    "phicert": ["--module"],
+    "beilinson": ["--module", "--format"],
+    "twist": ["--module", "--e", "--out"],
+    "sum": ["--module", "--other", "--out"],
+    "tensor": ["--module", "--other", "--out"],
+    "sym": ["--module", "--power", "--out"],
+    "qpow": ["--module", "--q", "--out"],
+    "koszulR": ["--char", "--dim", "--m", "--out"],
+    "omega": ["--char", "--dim", "--p", "--out"],
+    "verify": ["--seed", "--char", "--dim"],
+}
+INTEGERS = mostly(["0", "1", "2"], ["-1", "-3"])
+# at most 2, so that a verify suite stays fast
+DIMS = mostly(["1", "2"], ["0", "-1"])
+CHARS = mostly(["0", "2", "3", "32003"], ["1", "4", "9", "-2"])
+NOT_INTEGERS = st.sampled_from(["", "x", "1.5", "2e1", "--", "-", "0x3"])
+WINDOWS = st.one_of(
+    st.builds("{}:{}".format, st.integers(-6, 6), st.integers(-6, 6)),
+    st.sampled_from(["3", "1:", ":2", "1:2:3", "a:b", "", "1.5:2", "-:-"]),
+)
+FLAG_VALUES = {
+    "--module": MODULE_FILES,
+    "--other": MODULE_FILES,
+    "--twists": WINDOWS,
+    "--format": st.sampled_from(["json", "table", "xml"]),
+    "--char": CHARS,
+    "--dim": DIMS,
+    "--out": mostly(["out_file"], ["out_dir", "out_missing_dir"]),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv from the CLI's vocabulary: a command (a construction or suite
+    after construct or verify), most of its own flags and at times one or
+    two others, in any order, each with a value drawn for its kind or, now
+    and then, for another kind, sometimes joined as --flag=value and
+    sometimes left off."""
+    command = draw(st.sampled_from(COMMANDS))
+    head = [command]
+    own = OWN_FLAGS.get(command, [])
+    if command == "construct" and draw(st.integers(0, 9)):
+        head.append(draw(st.sampled_from(CONSTRUCTIONS)))
+        own = OWN_FLAGS[head[-1]]
+    elif command == "verify" and draw(st.integers(0, 9)):
+        head.append(draw(st.sampled_from(sorted(SUITES) + ["nonsense"])))
+    flags = [f for f in own if draw(st.integers(0, 9))]
+    if not draw(st.integers(0, 3)):
+        flags += draw(st.lists(st.sampled_from(FLAGS), min_size=1, max_size=2))
+    pairs = []
+    for flag in draw(st.permutations(flags)):
+        if flag == "--help" or not draw(st.integers(0, 15)):
+            pairs.append([flag])
+            continue
+        values = FLAG_VALUES.get(flag, INTEGERS)
+        if not draw(st.integers(0, 7)):
+            # no CHARS here: nothing bounds the work of --dim 32003 or --power 32003
+            values = st.one_of(NOT_INTEGERS, INTEGERS, WINDOWS, st.sampled_from(FUZZ_FILES))
+        value = draw(values)
+        pairs.append([f"{flag}={value}"] if not draw(st.integers(0, 5)) else [flag, value])
+    return head + [token for pair in pairs for token in pair]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Names the argv strategy draws, mapped to paths in a fresh directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, data in FUZZ_MODULES.items():
+        paths[name] = write_module(root, f"{name}.json", data)
+    bad = root / "bad_json.json"
+    bad.write_text("{bad json")
+    paths["bad_json"] = str(bad)
+    paths["missing"] = str(root / "missing.json")
+    paths["out_file"] = str(root / "out.json")
+    paths["out_dir"] = str(root)
+    paths["out_missing_dir"] = str(root / "no_such_dir" / "out.json")
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_argvs())
+@example(argv=["cohomology", "--module", "f3_ideal", "--twists", "-6:6", "--format", "table"])
+@example(argv=["construct", "tensor", "--module", "f2_unit", "--other", "qq_omega"])
+@example(argv=["construct", "omega", "--char", "4", "--dim", "1", "--p", "1"])
+@example(argv=["verify", "key-theorem", "--dim", "0"])
+@example(argv=["betti", "--module", "missing"])
+@example(argv=["cohomology", "--module", "qq_free", "--twists", "--"])
+@example(argv=["construct", "twist", "--module", "qq_free", "--e=--"])
+@example(argv=["construct", "sym", "--module", "qq_omega", "--power", "2", "--out", "out_dir"])
+def test_cli_fuzz_exits_0_1_or_2(fuzz_paths, argv):
+    # every drawn command line answers, fails a verification or is refused
+    # with a message; exit 3 (an internal error) is left to the planted tests
+    argv = list(argv)
+    for k, token in enumerate(argv):
+        flag, eq, value = token.rpartition("=")
+        argv[k] = flag + eq + fuzz_paths.get(value, value)
+    out, err = io.StringIO(), io.StringIO()
+    # a window or an integer drawn for --out names a file in the cwd
+    cwd = os.getcwd()
+    os.chdir(fuzz_paths["out_dir"])
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

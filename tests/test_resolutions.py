@@ -12,10 +12,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shfc import resolutions
 from shfc.cohomology import euler_characteristic
+from shfc.corpus import draw_locally_free
+from shfc.groebner import resolve
 from shfc.moduleio import presentation_from_dict
-from shfc.modules import GradedMap, binom
+from shfc.modules import GradedFreeModule, GradedMap, binom
 from shfc.resolutions import (
     MINUS_INFINITY,
     Presentation,
@@ -26,9 +31,10 @@ from shfc.resolutions import (
     module_regularity,
     verify_strand_exactness,
 )
-from shfc.rings import AlgebraError, InternalError, Ring
+from shfc.rings import AlgebraError, InternalError, Polynomial, Ring, monomials_of_degree
+from shfc.rng import Lcg
 
-from oracles import binomial, hilbert_polynomial
+from oracles import binomial, hilbert_polynomial, minimize_presentation_by_terms
 
 
 def pres(char, nvars, generators, relations):
@@ -120,6 +126,53 @@ def test_minimize_presentation_idempotent():
     twice = minimize_presentation(once)
     assert once.gens.degrees == twice.gens.degrees
     assert sorted(once.rels.source.degrees) == sorted(twice.rels.source.degrees)
+
+
+@st.composite
+def presentations_with_units(draw):
+    """A corpus draw on P^1 to P^3 over F_32003, F_2 or Q, with planted
+    unit columns (a nonzero constant times one generator plus a random
+    homogeneous combination of the others) and zero columns shuffled in
+    among its relations. Returns the presentation and the planted count."""
+    ring = Ring(draw(st.sampled_from([32003, 2, 0])), draw(st.integers(2, 4)))
+    base, _ = draw_locally_free(ring, Lcg(draw(st.integers(0, 2**32))))
+    gens = base.gens.degrees
+
+    def homogeneous(e):
+        if e < 0:
+            return Polynomial.zero(ring)
+        monos = draw(st.lists(st.sampled_from(monomials_of_degree(ring.num_vars, e)), max_size=3))
+        return Polynomial(ring, {m: draw(st.integers(-3, 3)) for m in monos})
+
+    columns = list(zip(base.rels.source.degrees, base.rels.cols))
+    planted = draw(st.integers(0, 3))
+    for _ in range(planted):
+        i = draw(st.integers(0, len(gens) - 1))
+        col = {k: homogeneous(gens[i] - a) for k, a in enumerate(gens) if k != i}
+        # odd constants are units over F_2 as well
+        col[i] = Polynomial.constant(ring, draw(st.sampled_from([1, -1, 3, 7])))
+        columns.append((gens[i], col))
+    for _ in range(draw(st.integers(0, 2))):
+        columns.append((draw(st.integers(-2, 3)), {}))
+    columns = draw(st.permutations(columns))
+    source = GradedFreeModule(ring, tuple(d for d, _ in columns))
+    rels = GradedMap.from_columns(source, base.gens, [c for _, c in columns])
+    return Presentation(base.gens, rels), planted
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations_with_units())
+def test_minimize_presentation_matches_term_scan(drawn):
+    # units read from degrees are the constant entries a term scan finds,
+    # in the same order, so the eliminations agree column for column
+    p, planted = drawn
+    got = minimize_presentation(p)
+    want = minimize_presentation_by_terms(p)
+    assert got.gens.degrees == want.gens.degrees
+    assert got.rels.source.degrees == want.rels.source.degrees
+    assert got.rels.cols == want.rels.cols
+    if planted:
+        assert got.gens.rank < p.gens.rank
 
 
 def test_hilbert_function_polynomial_ring():
@@ -228,3 +281,44 @@ def test_strand_exactness_check_survives_optimized_python(tmp_path):
     lines = proc.stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [["raised", "32003"], ["raised", "0"]]
     assert all("not exact" in line for line in lines)
+
+
+def resolve_with_a_unit(phi):
+    """A stand-in for groebner.resolve: the true maps, then one more map
+    into the last source whose only entry is the constant 1, of degree 0."""
+    maps = resolve(phi)
+    last = maps[-1].source
+    one = Polynomial.constant(phi.ring, 1)
+    unit = GradedMap.from_columns(GradedFreeModule(phi.ring, last.degrees[:1]), last, [{0: one}])
+    return maps + [unit.validate()]
+
+
+def test_minimality_check_raises_on_a_unit(monkeypatch):
+    monkeypatch.setattr(resolutions, "resolve", resolve_with_a_unit)
+    with pytest.raises(InternalError, match="resolution is not minimal"):
+        minimal_free_resolution(pres(32003, 3, [0], [["x0"]]))
+
+
+def test_minimality_check_survives_optimized_python(tmp_path):
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    script = (
+        "import sys\n"
+        "from shfc import resolutions\n"
+        "from shfc.rings import InternalError\n"
+        "from test_resolutions import pres, resolve_with_a_unit\n"
+        "if __debug__:\n"
+        "    sys.exit('expected python -O')\n"
+        "resolutions.resolve = resolve_with_a_unit\n"
+        "try:\n"
+        "    resolutions.minimal_free_resolution(pres(32003, 3, [0], [['x0']]))\n"
+        "except InternalError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised resolution is not minimal\n"
