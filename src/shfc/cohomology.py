@@ -8,7 +8,11 @@ For M a graded module with sheafification F on P^n (n = num_vars - 1):
 
 Ext strands come from the dualized minimal free resolution (transpose each
 matrix, negate degrees); one resolution and one dualized complex are
-computed per presentation and reused for every query.
+computed per presentation and reused for every query. The rank of the
+degree-e strand of a dual map is dim (im psi)_e, a binomial sum over the
+Hilbert numerator of its image, read off the leads of a Groebner basis of
+its columns truncated at the highest degree asked so far; no strand matrix
+is built.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .modules import binom
-from .resolutions import hilbert_function, minimal_free_resolution
+from .resolutions import hilbert_function, image_hilbert_numerator, minimal_free_resolution
 from .rings import AlgebraError, InternalError
 
 
@@ -32,18 +36,24 @@ def _dual_data(pres):
 
 
 def _dual_rank(pres, j, d):
-    """Rank of the degree-d strand of psi_j, memoized per presentation. A
-    strand with an empty side has rank 0 and is not built: its other side
-    can have millions of basis elements."""
+    """Rank of the degree-d strand of psi_j, memoized per presentation: the
+    binomial sum dim (im psi_j)_d over the Hilbert numerator of the image.
+    The numerator comes from the leads of a Groebner basis of psi_j's
+    columns truncated at the highest degree asked so far, and is cached
+    next to "dual". A strand with an empty side has rank 0 and no basis is
+    computed for it: its other side can have millions of basis elements."""
     key = ("dual_rank", j, d)
     if key in pres.cache:
         return pres.cache[key]
     _, dual_maps = _dual_data(pres)
     psi = dual_maps[j - 1]
+    r = 0
     if psi.source.strand_dimension(d) and psi.target.strand_dimension(d):
-        r = psi.strand_matrix(d).rank()
-    else:
-        r = 0
+        numerator = pres.cache.get(("numerator", j))
+        if numerator is None:
+            numerator = pres.cache[("numerator", j)] = image_hilbert_numerator(psi)
+        n = pres.ring.dim
+        r = sum(c * binom(d - m + n, n) for m, c in numerator(d).items())
     pres.cache[key] = r
     return r
 

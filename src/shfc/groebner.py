@@ -24,14 +24,16 @@ criterion only in its valid scope: both elements supported entirely in one
 common position, which is the embedded ideal case. The coprime-lead shortcut
 is false for general module elements, e.g. x*e1 + y*e2 and y*e1 + x*e2.
 
-One Buchberger loop serves all four entry points. It takes inputs and
+One Buchberger loop serves all five entry points. It takes inputs and
 S-pairs in degree order, so a column of degree d meets a d-truncated
 Groebner basis of the columns kept before it; minimal generators are the
 columns whose normal form there is nonzero, and the loop stops once no
 column waits. `groebner_basis` and the kernel step `_kernel` run it to
 completion; `syzygies` is one kernel step, and `resolve` alternates
 truncated runs (minimal generators) with kernel steps until the kernel is
-zero. Only `resolutions`, which owns every minimal resolution, imports this.
+zero. `image_leads` resumes one run up to each degree bound it is asked.
+Only `resolutions`, which owns every minimal resolution and the Hilbert
+numerators read off `image_leads`, imports this.
 
 Only a lead in the same position can divide a term, so the loop keeps its
 leads indexed by position, by_pos = {position: [(index, lead monomial),
@@ -43,6 +45,7 @@ still takes the lowest-index lead that divides the term.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import insort
 from operator import add, le, sub
 
@@ -95,22 +98,15 @@ def _spoly(f, g, ring):
     u = _mono_lcm(mf, mg)
     sf = _mono_sub(u, mf)
     sg = _mono_sub(u, mg)
-    out = {}
-    zero = ring.czero()
-    for (p, m), c in f.items():
-        key = (p, _mono_add(m, sf))
-        v = ring.cadd(out.get(key, zero), c)
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
+    # the shift of f is injective, so only g's terms can meet a stored one
+    out = {(p, _mono_add(m, sf)): c for (p, m), c in f.items()}
     for (p, m), c in g.items():
         key = (p, _mono_add(m, sg))
-        v = ring.csub(out.get(key, zero), c)
+        v = ring.csub(out[key], c) if key in out else ring.cneg(c)
         if v:
             out[key] = v
         else:
-            out.pop(key, None)
+            del out[key]
     return out
 
 
@@ -129,7 +125,6 @@ def _normal_form(f, basis, by_pos, ring):
     position that divides it."""
     out = {}
     work = dict(f)
-    zero = ring.czero()
     while work:
         t = min(work)
         c = work.pop(t)
@@ -145,16 +140,36 @@ def _normal_form(f, basis, by_pos, ring):
             if p2 == pos and m2 == lmono:
                 continue
             key = (p2, _mono_add(m2, shift))
-            v = ring.csub(work.get(key, zero), ring.cmul(c, c2))
+            x = ring.cmul(c, c2)
+            v = ring.csub(work[key], x) if key in work else ring.cneg(x)
             if v:
                 work[key] = v
             else:
-                work.pop(key, None)
+                del work[key]
     return out
 
 
-def _buchberger(elements, ring, degrees, truncate=False):
-    """Degree by degree Buchberger loop; returns (basis, kept).
+def _degree(f, degrees):
+    """Degree of a nonzero homogeneous element, given the position degrees."""
+    pos, r = next(iter(f))
+    return sum(r) + degrees[pos]
+
+
+def _top_degree(elements, degrees):
+    return max((_degree(f, degrees) for f in elements if f), default=0)
+
+
+def _buchberger(elements, ring, degrees, bound=math.inf):
+    """(basis, kept) of one `_buchberger_run` up to degree bound."""
+    run = _buchberger_run(elements, ring, degrees)
+    next(run)
+    return run.send(bound)
+
+
+def _buchberger_run(elements, ring, degrees):
+    """Degree by degree Buchberger loop, as a generator: after next(), each
+    send(bound) resumes the loop up to degree bound and answers (basis,
+    kept), so a higher bound later redoes no work.
 
     Inputs and S-pairs wait in one heap keyed by degree, pairs first at
     equal degree, so inputs pop in (degree, index) order. A popped input is
@@ -162,8 +177,10 @@ def _buchberger(elements, ring, degrees, truncate=False):
     monic; kept lists the indices of those inputs. An added element is fully
     reduced, so every pair it makes has a higher degree: when a degree-d
     input pops, the basis is a d-truncated Groebner basis of the inputs kept
-    before it. With truncate the loop stops once no input waits; otherwise
-    basis is a Groebner basis of the inputs.
+    before it. The loop stops before the first input or pair of degree above
+    bound, so basis is a bound-truncated Groebner basis of the inputs: with
+    bound the top input degree, the loop stops once no input waits, and with
+    no bound basis is a Groebner basis.
 
     by_pos indexes the leads of basis by position, each list in index order;
     reduction, pair making and the chain criterion look only at the leads in
@@ -194,47 +211,46 @@ def _buchberger(elements, ring, degrees, truncate=False):
 
     for j, f in enumerate(elements):
         if f:
-            pos, r = next(iter(f))
-            heap.append((sum(r) + degrees[pos], 1, j))
+            heap.append((_degree(f, degrees), 1, j))
     heapq.heapify(heap)
-    waiting = len(heap)
 
+    bound = yield
     steps = 0
-    while heap and (waiting or not truncate):
-        steps += 1
-        if steps >= _MAX_STEPS:
-            raise InternalError("Buchberger loop exceeded step bound")
-        entry = heapq.heappop(heap)
-        if entry[1]:
-            waiting -= 1
-            j = entry[2]
-            r = _normal_form(elements[j], basis, by_pos, ring)
+    while True:
+        while heap and heap[0][0] <= bound:
+            steps += 1
+            if steps >= _MAX_STEPS:
+                raise InternalError("Buchberger loop exceeded step bound")
+            entry = heapq.heappop(heap)
+            if entry[1]:
+                j = entry[2]
+                r = _normal_form(elements[j], basis, by_pos, ring)
+                if r:
+                    add(r)
+                    kept.append(j)
+                continue
+            _, _, pos, u, i, j = entry
+            pending.discard((i, j))
+            skip = False
+            for k, mk in by_pos[pos]:
+                if k == i or k == j or not _mono_divides(mk, u):
+                    continue
+                a = (i, k) if i < k else (k, i)
+                b = (j, k) if j < k else (k, j)
+                if a not in pending and b not in pending:
+                    skip = True
+                    break
+            if skip:
+                continue
+            s = _spoly(basis[i], basis[j], ring)
+            if not s:
+                continue
+            r = _normal_form(s, basis, by_pos, ring)
             if r:
                 add(r)
-                kept.append(j)
-            continue
-        _, _, pos, u, i, j = entry
-        pending.discard((i, j))
-        skip = False
-        for k, mk in by_pos[pos]:
-            if k == i or k == j or not _mono_divides(mk, u):
-                continue
-            a = (i, k) if i < k else (k, i)
-            b = (j, k) if j < k else (k, j)
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        s = _spoly(basis[i], basis[j], ring)
-        if not s:
-            continue
-        r = _normal_form(s, basis, by_pos, ring)
-        if r:
-            add(r)
-    if any(f[_lead(f)] != one for f in basis):
-        raise InternalError("Groebner basis element is not monic")
-    return basis, kept
+        if any(f[_lead(f)] != one for f in basis):
+            raise InternalError("Groebner basis element is not monic")
+        bound = yield basis, kept
 
 
 def _reduce_basis(basis, ring):
@@ -271,8 +287,7 @@ def _map_from_elements(elems, target):
         for (pos, r), c in f.items():
             col.setdefault(pos, {})[r[::-1]] = c
         cols.append({i: Polynomial(ring, terms, _normalized=True) for i, terms in col.items()})
-        pos, r = next(iter(f))
-        src_degrees.append(sum(r) + target.degrees[pos])
+        src_degrees.append(_degree(f, target.degrees))
     return GradedMap.from_columns(GradedFreeModule(ring, tuple(src_degrees)), target, cols)
 
 
@@ -284,6 +299,18 @@ def groebner_basis(phi):
     degrees = list(phi.target.degrees)
     gb = _reduce_basis(_buchberger(_columns_to_elements(phi), ring, degrees)[0], ring)
     return _map_from_elements(gb, phi.target)
+
+
+def image_leads(phi):
+    """A function of a degree bound that returns the lead terms (position,
+    exponents reversed) of a bound-truncated Groebner basis of the column
+    span of phi: in every degree up to bound, their monomial ideals,
+    position by position, have the Hilbert function of the image. Calls
+    resume one Buchberger run, so a higher bound redoes no work."""
+    phi.validate()
+    run = _buchberger_run(_columns_to_elements(phi), phi.ring, list(phi.target.degrees))
+    next(run)
+    return lambda bound: [_lead(f) for f in run.send(bound)[0]]
 
 
 def _kernel(elems, ring, target_degrees, source_degrees):
@@ -318,7 +345,8 @@ def minimal_generators(phi):
     """
     phi.validate()
     elems = _columns_to_elements(phi)
-    _, kept = _buchberger(elems, phi.ring, list(phi.target.degrees), truncate=True)
+    degrees = list(phi.target.degrees)
+    _, kept = _buchberger(elems, phi.ring, degrees, _top_degree(elems, degrees))
     return _map_from_elements([elems[j] for j in kept], phi.target)
 
 
@@ -335,7 +363,8 @@ def resolve(phi):
     elems = _columns_to_elements(phi)
     maps = []
     while True:
-        kept = _buchberger(elems, ring, list(target.degrees), truncate=True)[1]
+        degrees = list(target.degrees)
+        kept = _buchberger(elems, ring, degrees, _top_degree(elems, degrees))[1]
         if not kept:
             return maps
         gens = [elems[j] for j in kept]

@@ -7,13 +7,22 @@ elimination, then `groebner.resolve` replaces the relations and each kernel
 by a minimal homogeneous generating set (weakly increasing degree +
 Nakayama), so no map in the chain carries a unit; `_unit_entries` finds
 units from degrees, for the elimination and for the check on each map.
+
+The Hilbert function of the image of a map comes from the leads of a
+Groebner basis of its columns (`groebner.image_leads`), truncated at the
+highest degree asked: position by position they span monomial ideals, and
+`hilbert_numerator` gives each one's Hilbert-series numerator without
+enumerating a degree.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import le
 
-from .groebner import resolve
+from .groebner import image_leads, resolve
 from .modules import GradedFreeModule, GradedMap
 from .rings import AlgebraError, InternalError
 
@@ -143,6 +152,88 @@ def hilbert_function(pres, d):
     """dim of the degree-d piece, exact in every degree via the resolution."""
     res, _ = minimal_free_resolution(pres)
     return sum((-1) ** i * mod.strand_dimension(d) for i, mod in enumerate(res.modules))
+
+
+def _minimal_monomials(monos):
+    """The minimal generators of the monomial ideal of monos, by degree."""
+    kept = []
+    for m in sorted(set(monos), key=lambda m: (sum(m), m)):
+        if not any(all(map(le, k, m)) for k in kept):
+            kept.append(m)
+    return kept
+
+
+def hilbert_numerator(monos):
+    """Numerator N of the Hilbert series N(t) / (1 - t)^v of S/I, for I the
+    monomial ideal of the exponent tuples monos over v variables, as a
+    Counter {degree: coefficient}: dim (S/I)_k = sum N[i] binom(k - i + v - 1,
+    v - 1). Permuting the variables changes nothing.
+
+    Bigatti's pivot p = x^e, x the variable in most generators that are not
+    pure powers and e the median of its exponents there, splits
+    N(I) = N(I + (p)) + t^e N(I : p). Generators with pairwise disjoint
+    supports are a leaf, N = prod (1 - t^deg m). Pending ideals wait on an
+    explicit stack, each with the shift of its t power."""
+    out = Counter()
+    stack = [(_minimal_monomials(monos), 0)]
+    while stack:
+        gens, shift = stack.pop()
+        masks = [sum(1 << i for i, a in enumerate(m) if a) for m in gens]
+        union = 0
+        for mask in masks:
+            if union & mask:
+                break
+            union |= mask
+        else:
+            leaf = Counter({shift: 1})
+            for m in gens:
+                d = sum(m)
+                for k, c in list(leaf.items()):
+                    leaf[k + d] -= c
+            out.update(leaf)
+            continue
+        mixed = [m for m, mask in zip(gens, masks) if mask & (mask - 1)]
+        count = Counter(i for m in mixed for i, a in enumerate(m) if a)
+        x = min(count, key=lambda i: (-count[i], i))
+        exps = sorted(m[x] for m in mixed if m[x])
+        e = exps[len(exps) // 2]
+        p = tuple(e if i == x else 0 for i in range(len(gens[0])))
+        stack.append(([m for m in gens if m[x] < e] + [p], shift))
+        colon = [m[:x] + (max(m[x] - e, 0),) + m[x + 1:] for m in gens]
+        stack.append((_minimal_monomials(colon), shift + e))
+    return Counter({k: c for k, c in out.items() if c})
+
+
+def image_hilbert_numerator(phi):
+    """A function of a degree d that returns the numerator of the Hilbert
+    series of the image of phi as a Counter {degree: coefficient}, exact in
+    every degree up to the highest d asked so far: there dim (im phi)_e =
+    sum c binom(e - m + n, n) over its items (m, c).
+
+    Up to a bound the image has the Hilbert function of the leads of a
+    bound-truncated Groebner basis, so the numerator is the sum over target
+    positions of t^a (1 - N), a the degree of the position and N the
+    `hilbert_numerator` of its leads. The basis grows only when d exceeds
+    every degree asked before, by resuming one Buchberger run."""
+    leads = image_leads(phi)
+    bound, numerator = -math.inf, None
+
+    def at(d):
+        nonlocal bound, numerator
+        if d > bound:
+            by_pos = {}
+            for pos, mono in leads(d):
+                by_pos.setdefault(pos, []).append(mono)
+            out = Counter()
+            for pos, monos in by_pos.items():
+                a = phi.target.degrees[pos]
+                out[a] += 1
+                for k, c in hilbert_numerator(monos).items():
+                    out[a + k] -= c
+            bound, numerator = d, Counter({k: c for k, c in out.items() if c})
+        return numerator
+
+    return at
 
 
 def default_verification_window(pres):

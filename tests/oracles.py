@@ -33,10 +33,15 @@ terms of every entry for a constant. `koszul_kernel_by_groebner` is the
 reference for the engine's Koszul kernels, which go through
 `minimal_free_resolution`: it reads R_m straight off `groebner.resolve` of
 the Koszul map, with no unit elimination and no minimality check.
+
+`monomial_ideal_hilbert_function` is the reference for the engine's Hilbert
+numerators of monomial ideals: it enumerates the monomials of one degree
+and counts those that no generator divides.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from shfc.constructions import koszul_differential
 from shfc.groebner import _buchberger, _columns_to_elements, _term_key, resolve
@@ -322,6 +327,18 @@ def koszul_kernel_by_groebner(ring, m):
     if len(maps) > 2:
         return Presentation(maps[1].source, maps[2])
     return Presentation.free(ring, maps[1].source.degrees)
+
+
+def monomial_ideal_hilbert_function(gens, num_vars, k):
+    """dim (S/I)_k for I the monomial ideal of the exponent tuples gens in
+    num_vars variables: the degree-k monomials, each a multiset of k
+    variables, that no generator divides."""
+    count = 0
+    for chosen in combinations_with_replacement(range(num_vars), k):
+        mono = [chosen.count(i) for i in range(num_vars)]
+        if not any(all(a <= b for a, b in zip(g, mono)) for g in gens):
+            count += 1
+    return count
 
 
 def _dense_rank(a, divide, reduce):

@@ -4,6 +4,8 @@ consequences that reduce to Hilbert-function arithmetic.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     binomial,
@@ -16,6 +18,8 @@ from oracles import (
 )
 
 from shfc.cohomology import (
+    _dual_data,
+    _dual_rank,
     cohomology_table,
     euler_characteristic,
     euler_characteristic_line,
@@ -23,9 +27,11 @@ from shfc.cohomology import (
     line_bundle_oracle,
     sheaf_cohomology_dim,
 )
+from shfc.constructions import q_power_pullback, sym_power, tensor
 from shfc.corpus import draw_locally_free
 from shfc.invariants import sheaf_regularity
 from shfc.moduleio import presentation_from_dict
+from shfc.modules import binom
 from shfc.resolutions import (
     MINUS_INFINITY,
     Presentation,
@@ -301,3 +307,46 @@ def test_bad_inputs_raise():
         sheaf_cohomology_dim(p, -1, 0)
     with pytest.raises(AlgebraError):
         cohomology_table(p, 2, 1)
+
+
+# --------------------------------------------------------------------------
+# dual strand ranks from Hilbert numerators against strand elimination
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def sheaves(draw):
+    """A corpus draw on P^1 to P^3 over F_32003, F_2 or Q, as drawn, tensored
+    with a second draw, or taken to Sym^2 or a q-power pullback, q = 2, 3."""
+    # P^1 draws are split, so their resolutions have no maps: P^2 and P^3
+    # are drawn more often
+    ring = Ring(draw(st.sampled_from([32003, 2, 0])), draw(st.sampled_from([2, 3, 3, 4, 4])))
+    rng = Lcg(draw(st.integers(0, 2**32)))
+    pres, _ = draw_locally_free(ring, rng)
+    kind = draw(st.sampled_from(["corpus", "tensor", "sym", "qpow"]))
+    if kind == "tensor":
+        pres = tensor(pres, draw_locally_free(ring, rng)[0])
+    elif kind == "sym":
+        pres = sym_power(pres, 2)
+    elif kind == "qpow":
+        pres = q_power_pullback(pres, draw(st.integers(2, 3)))
+    return pres
+
+
+@settings(max_examples=200, deadline=None)
+@given(sheaves())
+def test_dual_rank_matches_strand_rank(pres):
+    # ascending degrees resume the truncated Groebner basis query by query;
+    # the window reaches 8 below every generator degree, where both strands
+    # are empty and the binomial sum of the final numerator must vanish too
+    n = pres.ring.dim
+    _, dual_maps = _dual_data(pres)
+    for j, psi in enumerate(dual_maps, 1):
+        degrees = psi.source.degrees + psi.target.degrees
+        window = range(min(degrees) - 8, max(degrees) + 3)
+        ranks = {e: psi.strand_matrix(e).rank() for e in window}
+        for e in window:
+            assert _dual_rank(pres, j, e) == ranks[e]
+        numerator = pres.cache[("numerator", j)](window[-1])
+        for e in window:
+            assert sum(c * binom(e - m + n, n) for m, c in numerator.items()) == ranks[e]

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from fractions import Fraction
 
 from shfc.cli import main
-from shfc.cohomology import cohomology_table
-from shfc.constructions import omega
+from shfc.cohomology import cohomology_table, line_bundle_oracle
+from shfc.constructions import omega, tensor
 from shfc.moduleio import (
     dump_module,
     load_module,
@@ -646,6 +646,67 @@ def test_cli_level_builds_no_strand_with_an_empty_side(tmp_path, capsys, monkeyp
     assert main(["level", "--module", path]) == 0
     assert capsys.readouterr().out == '{"value":1,"witnesses":[{"q":1,"i":0,"h":4498500}]}\n'
     assert built == []
+
+
+def test_cli_wide_ring_cohomology_answers(tmp_path, capsys, monkeypatch):
+    # O_H for a hyperplane H = P^998 in P^999: h^998(O_H(d)) is
+    # binom(-d - 1, 998) and every other row is 0. The dual strands here have
+    # binom(1000 + k, 999)-element sides, and no strand is built
+    def refuse(self, d):
+        raise AssertionError(f"strand_matrix({d}) built")
+
+    monkeypatch.setattr(GradedMap, "strand_matrix", refuse)
+    module = {"ring": {"char": 32003, "vars": 1000}, "generators": [0], "relations": [["x0"]]}
+    path = write_module(tmp_path, "wide.json", module)
+    assert main(["cohomology", "--module", path, "--twists", "-1001:-999"]) == 0
+    rows = [[0, 0, 0] for _ in range(1000)]
+    rows[998] = [line_bundle_oracle(998, [0], 998, d) for d in (-1001, -1000, -999)]
+    assert rows[998] == [499500, 999, 1]
+    expected = {"n": 999, "window": [-1001, -999], "h": rows}
+    assert capsys.readouterr().out == json.dumps(expected, separators=(",", ":")) + "\n"
+
+
+# stdout of each query command, pinned from the strand-rank implementation;
+# the answers agree over F_32003 and Q
+NO_STRAND_OUTPUTS = {
+    "P2_omega1x3": [
+        '{"n":2,"window":[-3,3],"h":[[0,0,0,0,0,0,0],[0,0,0,0,0,6,10],[134,90,54,26,6,0,0]]}',
+        '{"value":2,"witnesses":[{"q":2,"i":0,"h":54},{"q":1,"i":1,"h":90}]}',
+        '{"regularity":6}',
+        '{"bound":2,"witnesses":[{"q":2,"i":0,"h":134},{"q":1,"i":1,"h":186}]}',
+        '{"n":2,"a_range":[-2,0],"e":[[0,0,0],[0,0,0],[54,72,26]]}',
+    ],
+    "P3_omega1xomega2": [
+        '{"n":3,"window":[-3,3],"h":[[0,0,0,0,0,0,0],[0,0,0,0,0,0,4],[0,0,0,0,4,0,0],[160,74,24,1,0,0,0]]}',
+        '{"value":3,"witnesses":[{"q":3,"i":0,"h":24},{"q":2,"i":1,"h":74},{"q":1,"i":2,"h":160}]}',
+        '{"regularity":5}',
+        '{"bound":3,"witnesses":[{"q":3,"i":0,"h":291},{"q":2,"i":1,"h":476},{"q":1,"i":2,"h":724}]}',
+        '{"n":3,"a_range":[-3,0],"e":[[0,0,0,0],[0,0,0,0],[0,0,0,0],[24,22,8,1]]}',
+    ],
+}
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_cli_queries_build_no_strand(tmp_path, capsys, monkeypatch, char):
+    # every h^i with i >= 1 is a binomial sum over Hilbert numerators of
+    # Groebner lead ideals; only verify builds strands
+    def refuse(self, d):
+        raise AssertionError(f"strand_matrix({d}) built")
+
+    monkeypatch.setattr(GradedMap, "strand_matrix", refuse)
+    p2, p3 = Ring(char, 3), Ring(char, 4)
+    o = omega(p2, 1)
+    modules = {
+        "P2_omega1x3": tensor(tensor(o, o), o),
+        "P3_omega1xomega2": tensor(omega(p3, 1), omega(p3, 2)),
+    }
+    commands = [["cohomology", "--twists", "-3:3"], ["level"], ["reg"], ["phicert"], ["beilinson"]]
+    for name, pres in modules.items():
+        path = str(tmp_path / f"{name}.json")
+        save_module(pres, path)
+        for argv, expected in zip(commands, NO_STRAND_OUTPUTS[name]):
+            assert main([argv[0], "--module", path, *argv[1:]]) == 0
+            assert capsys.readouterr().out == expected + "\n"
 
 
 def test_cli_twist_window_with_negative_start(tmp_path, capsys):

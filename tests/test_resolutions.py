@@ -26,6 +26,7 @@ from shfc.resolutions import (
     Presentation,
     betti_table,
     hilbert_function,
+    hilbert_numerator,
     minimal_free_resolution,
     minimize_presentation,
     module_regularity,
@@ -34,7 +35,12 @@ from shfc.resolutions import (
 from shfc.rings import AlgebraError, InternalError, Polynomial, Ring, monomials_of_degree
 from shfc.rng import Lcg
 
-from oracles import binomial, hilbert_polynomial, minimize_presentation_by_terms
+from oracles import (
+    binomial,
+    hilbert_polynomial,
+    minimize_presentation_by_terms,
+    monomial_ideal_hilbert_function,
+)
 
 
 def pres(char, nvars, generators, relations):
@@ -322,3 +328,56 @@ def test_minimality_check_survives_optimized_python(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised resolution is not minimal\n"
+
+
+# --------------------------------------------------------------------------
+# Hilbert numerators of monomial ideals against a monomial count
+# --------------------------------------------------------------------------
+
+
+def numerator_value(numerator, num_vars, k):
+    """dim (S/I)_k from the numerator of the Hilbert series of S/I."""
+    return sum(c * binom(k - i + num_vars - 1, num_vars - 1) for i, c in numerator.items())
+
+
+@st.composite
+def monomial_ideals(draw):
+    v = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * v), max_size=7))
+    return v, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_ideals())
+def test_hilbert_numerator_matches_monomial_count(drawn):
+    v, gens = drawn
+    numerator = hilbert_numerator(gens)
+    for k in range(13):
+        assert numerator_value(numerator, v, k) == monomial_ideal_hilbert_function(gens, v, k)
+
+
+@pytest.mark.parametrize(
+    "gens, numerator",
+    [
+        ([], {0: 1}),  # the zero ideal: S itself
+        ([(0, 0, 0)], {}),  # the unit ideal: S/I = 0
+        ([(0, 0, 0), (1, 2, 0)], {}),
+        ([(2, 0, 0), (0, 1, 1)], {0: 1, 2: -2, 4: 1}),  # coprime: (1 - t^2)^2
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], {0: 1, 1: -3, 2: 3, 3: -1}),
+        ([(1, 1, 0), (1, 1, 0), (0, 2, 0), (1, 2, 0)], {0: 1, 2: -2, 3: 1}),  # repeated
+    ],
+)
+def test_hilbert_numerator_edge_cases(gens, numerator):
+    assert hilbert_numerator(gens) == numerator
+    for k in range(8):
+        assert numerator_value(numerator, 3, k) == monomial_ideal_hilbert_function(gens, 3, k)
+
+
+def test_hilbert_numerator_of_a_huge_pure_power_is_closed_form():
+    # S/(x^E) over 3 variables: binom(k + 2, 2) - binom(k - E + 2, 2) in
+    # degree k, with nothing enumerated
+    e = 10**11
+    numerator = hilbert_numerator([(0, e, 0)])
+    assert numerator == {0: 1, e: -1}
+    for k in (0, 5, e - 1, e, e + 7):
+        assert numerator_value(numerator, 3, k) == binom(k + 2, 2) - binom(k - e + 2, 2)
