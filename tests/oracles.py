@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from shfc.constructions import koszul_differential
-from shfc.groebner import _buchberger, _columns_to_elements, _term_key, resolve
+from shfc.groebner import _buchberger, _columns_to_elements, resolve
 from shfc.modules import GradedFreeModule, GradedMap
 from shfc.resolutions import Presentation, minimal_free_resolution
 from shfc.rings import Polynomial, monomials_of_degree
@@ -216,7 +216,12 @@ def minimal_generators_by_groebner(phi):
     kept column."""
     ring = phi.ring
     target_degrees = list(phi.target.degrees)
-    elems = _columns_to_elements(phi)
+    pk, packed = _columns_to_elements(phi)
+
+    def as_tuples(f):
+        return {pk.unpack(t): c for t, c in f.items()}
+
+    elems = [as_tuples(f) for f in packed]
     order = sorted(range(len(elems)), key=lambda j: (phi.source.degrees[j], j))
     kept, basis = [], []
     for j in order:
@@ -225,8 +230,16 @@ def minimal_generators_by_groebner(phi):
         if basis and not normal_form_by_scan(elems[j], basis, [min(g) for g in basis], ring):
             continue
         kept.append(j)
-        basis = _buchberger([elems[k] for k in kept], ring, target_degrees)[0]
+        basis = [as_tuples(g) for g in _buchberger([packed[k] for k in kept], pk, target_degrees)[0]]
     return kept
+
+
+def term_key(term):
+    """Sort key of the full module order on (position, exponents reversed),
+    total degree included, ascending: for sorting leads of different
+    degrees."""
+    pos, r = term
+    return (-pos, sum(r), tuple(-e for e in r))
 
 
 def normal_form_by_scan(f, basis, leads, ring):
@@ -266,7 +279,7 @@ def reduce_basis_by_scan(basis, ring):
     """Sort monic elements by lead and reduce each against all the others,
     in list order, by normal_form_by_scan; the leads are those of the
     sorted input."""
-    basis = sorted(basis, key=lambda f: _term_key(min(f)))
+    basis = sorted(basis, key=lambda f: term_key(min(f)))
     leads = [min(f) for f in basis]
     for idx in range(len(basis)):
         others = basis[:idx] + basis[idx + 1 :]

@@ -7,6 +7,7 @@ degree (rank-nullity on strands). Those two facts pin the kernel exactly.
 `resolve` is checked map for map against iterating the two public steps.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -333,11 +334,11 @@ def _planted_kernel(nonzero_steps):
     calls return the zero kernel."""
     calls = []
 
-    def kernel(elems, ring, target_degrees, source_degrees):
+    def kernel(elems, pk, target_degrees, source_degrees):
         calls.append(None)
         if len(calls) > nonzero_steps:
             return []
-        return [{(0, (0,) * ring.num_vars): ring.coeff(1)}]
+        return [{pk.pack(0, (0,) * pk.num_vars): pk.ring.coeff(1)}]
 
     return kernel
 
@@ -406,6 +407,123 @@ def test_buchberger_step_bound_survives_optimized_python(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised Buchberger loop exceeded step bound\n"
+
+
+# (x0^2, x1^2, x2^2) in disguise: its resolution climbs to degree 6 over a
+# position of degree 0. At the narrowest field width that packs the input,
+# 3 bits, exponents of 4 and more would wrap, and without the width guard
+# the run returns the Betti degrees [(2, 2, 2), (4, 4, 4, 6, 6), (6, 6, 6)]
+CLIMBING = [["x2^2 + 2*x0^2"], ["3*x0^2"], ["x1^2 + 2*x2^2"]]
+CLIMBING_DEGREES = [(2, 2, 2), (4, 4, 4), (6,)]
+
+
+def test_packed_width_overflow_raises_internal_error(monkeypatch):
+    phi = column_map(R2, [0], CLIMBING)
+    expected = resolve(phi)
+    assert [m.source.degrees for m in expected] == CLIMBING_DEGREES
+    # no headroom: the width is max(_MIN_WIDTH, 3), and degree 6 needs 4 bits
+    monkeypatch.setattr(groebner, "_HEADROOM_BITS", 0)
+    for width in range(1, 17):
+        monkeypatch.setattr(groebner, "_MIN_WIDTH", width)
+        if width <= 3:
+            with pytest.raises(InternalError, match="packed exponent width"):
+                resolve(phi)
+        else:
+            got = resolve(phi)
+            assert [(m.source, m.target, m.cols) for m in got] == [
+                (m.source, m.target, m.cols) for m in expected
+            ]
+
+
+def test_packed_width_overflow_exits_3_under_optimized_python(tmp_path):
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    module = {"ring": {"char": 32003, "vars": 3}, "generators": [0], "relations": CLIMBING}
+    path = tmp_path / "climbing.json"
+    path.write_text(json.dumps(module))
+    script = (
+        "import sys\n"
+        "from shfc import groebner\n"
+        "from shfc.cli import main\n"
+        "if __debug__:\n"
+        "    sys.exit('expected python -O')\n"
+        "groebner._MIN_WIDTH = 1\n"
+        "groebner._HEADROOM_BITS = 0\n"
+        f"sys.exit(main(['betti', '--module', {str(path)!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "shfc: internal error: Buchberger degree exceeds the packed exponent width\n"
+
+
+# --------------------------------------------------------------------------
+# packed terms against their tuple versions
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def packed_term_pairs(draw):
+    """A packing over 2, 5 or 1000 variables, at the floor width or the
+    width an exponent of 10**11 forces, and two terms in one position with
+    exponents up to 2**(W - 1) - 1; on 1000 variables at most six are
+    nonzero. The second term is sometimes a permutation of the first, so
+    that equal degrees come up."""
+    num_vars = draw(st.sampled_from([2, 5, 1000]))
+    pk = groebner._Packing(Ring(32003, num_vars), draw(st.sampled_from([0, 7, 10**11])))
+    top = pk.limit - 1
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, top), st.just(top))
+
+    def exponents():
+        if num_vars <= 5:
+            return tuple(draw(st.lists(exponent, min_size=num_vars, max_size=num_vars)))
+        r = [0] * num_vars
+        for k, e in draw(st.dictionaries(st.integers(0, num_vars - 1), exponent, max_size=6)).items():
+            r[k] = e
+        return tuple(r)
+
+    pos = draw(st.integers(0, 40))
+    a = exponents()
+    b = tuple(draw(st.permutations(a))) if draw(st.booleans()) else exponents()
+    return pk, pos, a, b
+
+
+def test_packing_widths():
+    ring = Ring(32003, 3)
+    assert groebner._Packing(ring, 0).width == 16
+    assert groebner._Packing(ring, 4095).width == 16
+    assert groebner._Packing(ring, 4096).width == 17
+    assert groebner._Packing(ring, 10**11).width == 41
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_term_pairs())
+def test_packed_term_operations_match_tuples(problem):
+    pk, pos, a, b = problem
+    pa, pb = pk.pack(pos, a), pk.pack(pos, b)
+    assert pk.unpack(pa) == (pos, a)
+    assert pk.unpack(pb) == (pos, b)
+    # int order is (position, exponents reversed) tuple order
+    assert (pa < pb) == ((pos, a) < (pos, b))
+    assert (pk.pack(pos + 1, a) < pb) == ((pos + 1, a) < (pos, b))
+    g = pk.guard
+    assert (((pb | g) - pa) & g == g) == all(x <= y for x, y in zip(a, b))
+    u = pk.lcm(pa, pb)
+    assert u == pk.pack(pos, tuple(map(max, a, b)))
+    assert pk.disjoint(pa, pb) == all(x == 0 or y == 0 for x, y in zip(a, b))
+    if all(x <= y for x, y in zip(a, b)):
+        assert pk.unpack(pb - pa) == (0, tuple(y - x for x, y in zip(a, b)))
+        assert (pb - pa) + pa == pb
+    # the degree is exact below 2**W; the loop reads a pair's degree as the
+    # degree of one lead plus that of the lcm's quotient by it
+    if sum(a) <= pk.mask:
+        assert pk.degree(pa) == sum(a)
+    if sum(a) < pk.limit and sum(b) < pk.limit:
+        assert pk.degree(pb) + pk.degree(u - pb) == sum(map(max, a, b))
 
 
 # --------------------------------------------------------------------------
@@ -522,9 +640,21 @@ def reduction_problems(draw):
 @settings(max_examples=300, deadline=None)
 @given(reduction_problems())
 def test_indexed_reduction_matches_full_lead_scan(problem):
+    # the engine runs on packed terms, the oracles on (position, exponents
+    # reversed) tuples: pack the problem, unpack the engine's results
     ring, f, reducers = problem
-    by_pos = groebner._lead_index(reducers)
+    pk = groebner._Packing(ring, 5)
+
+    def packed(g):
+        return {pk.pack(*t): c for t, c in g.items()}
+
+    def unpacked(g):
+        return {pk.unpack(t): c for t, c in g.items()}
+
+    basis = [packed(g) for g in reducers]
+    by_pos = groebner._lead_index(basis, pk)
     expected = normal_form_by_scan(f, reducers, [min(g) for g in reducers], ring)
-    assert groebner._normal_form(f, reducers, by_pos, ring) == expected
+    assert unpacked(groebner._normal_form(packed(f), basis, by_pos, pk)) == expected
     if reducers:
-        assert groebner._reduce_basis(list(reducers), ring) == reduce_basis_by_scan(reducers, ring)
+        got = [unpacked(g) for g in groebner._reduce_basis(basis, pk)]
+        assert got == reduce_basis_by_scan(reducers, ring)

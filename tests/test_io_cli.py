@@ -648,6 +648,15 @@ def test_cli_level_builds_no_strand_with_an_empty_side(tmp_path, capsys, monkeyp
     assert built == []
 
 
+def test_cli_level_answers_a_huge_exponent(tmp_path, capsys):
+    # O/(x0^N) on P^2 with N = 99999999999: the witness h is binom(N, 2), and
+    # the packed terms of the resolution need a 41-bit field for x0^N
+    module = {"ring": {"char": 32003, "vars": 3}, "generators": [0], "relations": [["x0^99999999999"]]}
+    path = write_module(tmp_path, "huge.json", module)
+    assert main(["level", "--module", path]) == 0
+    assert capsys.readouterr().out == '{"value":1,"witnesses":[{"q":1,"i":0,"h":4999999999850000000001}]}\n'
+
+
 def test_cli_wide_ring_cohomology_answers(tmp_path, capsys, monkeypatch):
     # O_H for a hyperplane H = P^998 in P^999: h^998(O_H(d)) is
     # binom(-d - 1, 998) and every other row is 0. The dual strands here have
